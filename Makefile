@@ -3,7 +3,7 @@ export PYTHONPATH := src
 
 .PHONY: check test sweep sweep-fast fsck analyze analyze-fast \
 	lint-persist lint-time obs-report fleet-smoke concurrent-smoke \
-	elision-report
+	elision-report bench bench-traced bench-compare
 
 # The CI gate: the full static analyzer, the tier-1 suite, a strided
 # smoke pass of every crash sweep (including the fleet fail-over and
@@ -83,3 +83,19 @@ lint-time:
 obs-report:
 	$(PYTHON) -m repro.bench.fig17_basictest_breakdown
 	$(PYTHON) -m repro.obs.report BENCH_fig17.json
+
+# The perf ledger (bench-ledger/README.md): six oracle-checked workloads,
+# five end-to-end metrics each, every metric printed by name.
+bench:
+	$(PYTHON) bench-ledger/run.py
+
+# The same plus a second, profiled pass per workload for the per-layer
+# metrics; the full result goes to OUT for `make bench-compare`.
+OUT ?= BENCH_ledger.json
+bench-traced:
+	$(PYTHON) bench-ledger/run.py --traced --out $(OUT)
+
+# base / new / ratio / bound for two ledger results:
+#   make bench-compare OLD=before.json NEW=after.json
+bench-compare:
+	$(PYTHON) bench-ledger/compare.py $(OLD) $(NEW)

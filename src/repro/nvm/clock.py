@@ -17,8 +17,7 @@ Example::
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Dict, Iterator, List
+from typing import Dict, List
 
 DEFAULT_CATEGORY = "other"
 
@@ -44,6 +43,28 @@ class ChargeMeter:
         return ns
 
 
+class _Pushed:
+    """``with`` object: *item* sits on top of *stack* inside the block.
+
+    What :meth:`Clock.scope` and :meth:`Clock.divert` return.  It keeps
+    no state of its own, so one object can be entered any number of
+    times, nested in itself included.
+    """
+
+    __slots__ = ("_stack", "_item")
+
+    def __init__(self, stack: list, item) -> None:
+        self._stack = stack
+        self._item = item
+
+    def __enter__(self):
+        self._stack.append(self._item)
+        return self._item
+
+    def __exit__(self, exc_type, exc, traceback) -> None:
+        self._stack.pop()
+
+
 class Clock:
     """Accumulates simulated nanoseconds, attributed to nested scopes."""
 
@@ -52,6 +73,7 @@ class Clock:
         self._by_category: Dict[str, float] = {}
         self._stack: List[str] = []
         self._meters: List[ChargeMeter] = []
+        self._scopes: Dict[str, _Pushed] = {}
 
     # ------------------------------------------------------------------
     # Charging
@@ -66,15 +88,18 @@ class Clock:
         """
         if ns < 0:
             raise ValueError(f"negative charge: {ns}")
-        if self._meters:
-            self._meters[-1].ns += ns
+        meters = self._meters
+        if meters:
+            meters[-1].ns += ns
             return
         self._now_ns += ns
-        label = category if category is not None else self.current_category
-        self._by_category[label] = self._by_category.get(label, 0.0) + ns
+        if category is None:
+            stack = self._stack
+            category = stack[-1] if stack else DEFAULT_CATEGORY
+        totals = self._by_category
+        totals[category] = totals.get(category, 0.0) + ns
 
-    @contextmanager
-    def divert(self, meter: ChargeMeter) -> Iterator[ChargeMeter]:
+    def divert(self, meter: ChargeMeter) -> _Pushed:
         """Divert every charge inside the block into *meter*.
 
         Global time (``now_ns``) and the category breakdown are untouched
@@ -82,11 +107,7 @@ class Clock:
         ``clock.charge(max(worker_meters))`` after a simulated parallel
         phase.  Diversions nest; the innermost meter wins.
         """
-        self._meters.append(meter)
-        try:
-            yield meter
-        finally:
-            self._meters.pop()
+        return _Pushed(self._meters, meter)
 
     @property
     def diverted(self) -> bool:
@@ -104,14 +125,12 @@ class Clock:
     def current_category(self) -> str:
         return self._stack[-1] if self._stack else DEFAULT_CATEGORY
 
-    @contextmanager
-    def scope(self, category: str) -> Iterator[None]:
+    def scope(self, category: str) -> _Pushed:
         """Attribute charges inside the ``with`` block to *category*."""
-        self._stack.append(category)
-        try:
-            yield
-        finally:
-            self._stack.pop()
+        scope = self._scopes.get(category)
+        if scope is None:
+            scope = self._scopes[category] = _Pushed(self._stack, category)
+        return scope
 
     # ------------------------------------------------------------------
     # Reading

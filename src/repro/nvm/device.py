@@ -24,7 +24,8 @@ reads/writes, mirroring ``mmap`` of a PJH instance at its *address hint*
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
@@ -61,13 +62,8 @@ class FaultMode:
     ALL = (ATOMIC, TORN, REORDERED)
 
 _U64 = 1 << 64
+_U64_MASK = _U64 - 1
 _I64_MAX = (1 << 63) - 1
-
-
-def _wrap_i64(value: int) -> int:
-    """Reinterpret an arbitrary int as a signed 64-bit word (raw bits)."""
-    value &= _U64 - 1
-    return value - _U64 if value > _I64_MAX else value
 
 
 @dataclass
@@ -147,13 +143,16 @@ class MemoryDevice:
         self.stats = DeviceStats()
         self._words = np.zeros(self.size_words, dtype=np.int64)
         self._hot: Dict[int, None] = {}  # insertion-ordered LRU of lines
+        # Per-word media costs of this device kind, picked once: the
+        # latency config is frozen and never rebound after construction.
+        self._read_ns, self._write_ns = self._media_costs(latency)
+        # Lines with unflushed stores; None on a device that tracks none.
+        self._dirty_lines: Optional[Set[int]] = None
 
-    # -- latency hooks (overridden per device kind) --------------------
-    def _read_cost(self) -> float:
-        return self.latency.dram_read_ns
-
-    def _write_cost(self) -> float:
-        return self.latency.dram_write_ns
+    @staticmethod
+    def _media_costs(latency: LatencyConfig) -> Tuple[float, float]:
+        """(read, write) cost of one word that misses the CPU cache."""
+        return latency.dram_read_ns, latency.dram_write_ns
 
     # -- cache model ------------------------------------------------------
     def _touch(self, line: int) -> bool:
@@ -173,7 +172,7 @@ class MemoryDevice:
         last = (offset + count - 1) // LINE_WORDS
         cost = 0.0
         hit_ns = self.latency.cache_hit_ns
-        miss_ns = self._read_cost()
+        miss_ns = self._read_ns
         for line in range(first, last + 1):
             cost += hit_ns if self._touch(line) else miss_ns
         self.clock.charge(cost)
@@ -185,7 +184,7 @@ class MemoryDevice:
         last = (offset + count - 1) // LINE_WORDS
         for line in range(first, last + 1):
             self._touch(line)
-        self.clock.charge(self._write_cost() * count)
+        self.clock.charge(self._write_ns * count)
 
     # -- word access ----------------------------------------------------
     def _check(self, offset: int, count: int = 1) -> None:
@@ -194,17 +193,48 @@ class MemoryDevice:
                 f"{self.name}: access [{offset}, {offset + count}) outside "
                 f"[0, {self.size_words})")
 
+    # read/write are the per-word hot path: one frame each plus the one
+    # Clock.charge, doing exactly what _check + _charge_read/_charge_write
+    # (+ _mark_dirty) do for a block, in the same order (DESIGN.md §7.1).
     def read(self, offset: int) -> int:
-        self._check(offset)
+        if offset < 0 or offset >= self.size_words:
+            self._check(offset)
         self.stats.reads += 1
-        self._charge_read(offset, 1)
-        return int(self._words[offset])
+        hot = self._hot
+        line = offset // LINE_WORDS
+        if line in hot:
+            del hot[line]  # refresh recency
+            hot[line] = None
+            self.clock.charge(self.latency.cache_hit_ns)
+        else:
+            hot[line] = None
+            if len(hot) > self.CACHE_LINES:
+                del hot[next(iter(hot))]
+            self.clock.charge(self._read_ns)
+        return self._words.item(offset)
 
     def write(self, offset: int, value: int) -> None:
-        self._check(offset)
+        if offset < 0 or offset >= self.size_words:
+            self._check(offset)
         self.stats.writes += 1
-        self._charge_write(offset, 1)
-        self._words[offset] = _wrap_i64(value)
+        hot = self._hot
+        line = offset // LINE_WORDS
+        if line in hot:
+            del hot[line]
+            hot[line] = None
+        else:
+            hot[line] = None
+            if len(hot) > self.CACHE_LINES:
+                del hot[next(iter(hot))]
+        self.clock.charge(self._write_ns)
+        # Raw bits of an arbitrary int as a signed 64-bit word.
+        value &= _U64_MASK
+        self._words[offset] = value - _U64 if value > _I64_MAX else value
+        dirty = self._dirty_lines
+        if dirty is not None:
+            if self.event_log is not None:
+                self.event_log.record_store(offset, 1)
+            dirty.add(line)
 
     def read_block(self, offset: int, count: int) -> np.ndarray:
         """Read *count* words; charged per word, copied in one step."""
@@ -288,26 +318,16 @@ class NvmDevice(MemoryDevice):
         self._unfenced_lines.clear()
 
     # -- latency ----------------------------------------------------------
-    def _read_cost(self) -> float:
-        return self.latency.nvm_read_ns
-
-    def _write_cost(self) -> float:
-        return self.latency.nvm_write_ns
+    @staticmethod
+    def _media_costs(latency: LatencyConfig) -> Tuple[float, float]:
+        return latency.nvm_read_ns, latency.nvm_write_ns
 
     # -- dirtiness tracking ------------------------------------------------
-    def _mark_dirty(self, offset: int, count: int = 1) -> None:
+    def _mark_dirty(self, offset: int, count: int) -> None:
         if self.event_log is not None:
             self.event_log.record_store(offset, count)
-        first = offset // LINE_WORDS
-        last = (offset + count - 1) // LINE_WORDS
-        if first == last:
-            self._dirty_lines.add(first)
-        else:
-            self._dirty_lines.update(range(first, last + 1))
-
-    def write(self, offset: int, value: int) -> None:
-        super().write(offset, value)
-        self._mark_dirty(offset)
+        self._dirty_lines.update(
+            range(offset // LINE_WORDS, (offset + count - 1) // LINE_WORDS + 1))
 
     def write_block(self, offset: int, values: np.ndarray) -> None:
         super().write_block(offset, values)
@@ -327,24 +347,29 @@ class NvmDevice(MemoryDevice):
         by the next :meth:`fence`.  Durability in the simulator is
         immediate either way; only the accounting differs.
         """
-        self._check(offset, count)
-        first = offset // LINE_WORDS
-        last = (offset + count - 1) // LINE_WORDS
+        size = self.size_words
+        if offset < 0 or offset + count > size:
+            self._check(offset, count)
         cost = (self.latency.clflush_issue_ns if asynchronous
                 else self.latency.clflush_ns)
         reordered = self.fault_mode == FaultMode.REORDERED
-        for line in range(first, last + 1):
-            self.stats.flushes += 1
-            self.clock.charge(cost)
-            if self.event_log is not None:
-                self.event_log.record_flush(line)
+        stats, charge, log = self.stats, self.clock.charge, self.event_log
+        words, durable = self._words, self._durable
+        unfenced, unfenced_lines = self._unfenced, self._unfenced_lines
+        dirty = self._dirty_lines
+        for line in range(offset // LINE_WORDS,
+                          (offset + count - 1) // LINE_WORDS + 1):
+            stats.flushes += 1
+            charge(cost)
+            if log is not None:
+                log.record_flush(line)
             start = line * LINE_WORDS
-            end = min(start + LINE_WORDS, self.size_words)
-            if reordered and line not in self._unfenced:
-                self._unfenced[line] = self._durable[start:end].copy()
-            self._unfenced_lines.add(line)
-            self._durable[start:end] = self._words[start:end]
-            self._dirty_lines.discard(line)
+            end = min(start + LINE_WORDS, size)
+            if reordered and line not in unfenced:
+                unfenced[line] = durable[start:end].copy()
+            unfenced_lines.add(line)
+            durable[start:end] = words[start:end]
+            dirty.discard(line)
 
     def fence(self) -> None:
         """sfence: order prior flushes before later stores."""
@@ -484,17 +509,14 @@ class NvmDevice(MemoryDevice):
 
 @dataclass(frozen=True)
 class Mapping:
-    """One device mapped at a base address."""
+    """One device mapped at a base address: words ``[base, end)``."""
 
     base: int
     device: MemoryDevice
+    end: int = field(init=False)
 
-    @property
-    def end(self) -> int:
-        return self.base + self.device.size_words
-
-    def contains(self, address: int) -> bool:
-        return self.base <= address < self.end
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "end", self.base + self.device.size_words)
 
 
 class AddressSpace:
@@ -505,7 +527,14 @@ class AddressSpace:
     """
 
     def __init__(self) -> None:
-        self._mappings: List[Mapping] = []
+        self._mappings: List[Mapping] = []  # sorted by base
+        self._bases: List[int] = []  # their bases, for bisecting
+        self._last: Optional[Mapping] = None  # served the previous lookup
+
+    def _reindex(self) -> None:
+        self._mappings.sort(key=lambda m: m.base)
+        self._bases = [m.base for m in self._mappings]
+        self._last = None
 
     def map(self, base: int, device: MemoryDevice) -> Mapping:
         if base <= 0:
@@ -517,10 +546,12 @@ class AddressSpace:
                     f"mapping [{new.base}, {new.end}) overlaps "
                     f"[{existing.base}, {existing.end}) of {existing.device.name}")
         self._mappings.append(new)
+        self._reindex()
         return new
 
     def unmap(self, device: MemoryDevice) -> None:
         self._mappings = [m for m in self._mappings if m.device is not device]
+        self._reindex()
 
     def is_free(self, base: int, size_words: int) -> bool:
         end = base + size_words
@@ -530,7 +561,7 @@ class AddressSpace:
                        start: int = LINE_WORDS) -> int:
         """Lowest aligned base where *size_words* fits."""
         candidate = max(start, alignment)
-        for mapping in sorted(self._mappings, key=lambda m: m.base):
+        for mapping in self._mappings:
             if candidate + size_words <= mapping.base:
                 break
             candidate = max(candidate, mapping.end)
@@ -540,8 +571,14 @@ class AddressSpace:
         return candidate
 
     def mapping_at(self, address: int) -> Mapping:
-        for mapping in self._mappings:
-            if mapping.contains(address):
+        mapping = self._last
+        if mapping is not None and mapping.base <= address < mapping.end:
+            return mapping
+        index = bisect_right(self._bases, address) - 1
+        if index >= 0:
+            mapping = self._mappings[index]
+            if address < mapping.end:
+                self._last = mapping
                 return mapping
         raise IllegalArgumentException(f"address {address:#x} is not mapped")
 
@@ -556,12 +593,18 @@ class AddressSpace:
         return tuple(self._mappings)
 
     # -- routed access -------------------------------------------------------
+    # read/write inline mapping_at's last-hit test: a word access that
+    # stays on the previous access's device costs no routing frame.
     def read(self, address: int) -> int:
-        mapping = self.mapping_at(address)
+        mapping = self._last
+        if mapping is None or not mapping.base <= address < mapping.end:
+            mapping = self.mapping_at(address)
         return mapping.device.read(address - mapping.base)
 
     def write(self, address: int, value: int) -> None:
-        mapping = self.mapping_at(address)
+        mapping = self._last
+        if mapping is None or not mapping.base <= address < mapping.end:
+            mapping = self.mapping_at(address)
         mapping.device.write(address - mapping.base, value)
 
     def read_block(self, address: int, count: int) -> np.ndarray:

@@ -13,7 +13,7 @@ benchmarks all take the default.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 
 @dataclass(frozen=True)
@@ -52,18 +52,13 @@ class LatencyConfig:
     def scaled(self, factor: float) -> "LatencyConfig":
         """Return a config with every memory latency multiplied by *factor*.
 
-        Useful for sensitivity sweeps (e.g. slower NVM media).
+        Useful for sensitivity sweeps (e.g. slower NVM media).  Every
+        field but the CPU cost is a memory latency, so a field added
+        later scales without being listed here.
         """
-        return LatencyConfig(
-            dram_read_ns=self.dram_read_ns * factor,
-            dram_write_ns=self.dram_write_ns * factor,
-            nvm_read_ns=self.nvm_read_ns * factor,
-            nvm_write_ns=self.nvm_write_ns * factor,
-            clflush_ns=self.clflush_ns * factor,
-            sfence_ns=self.sfence_ns * factor,
-            cache_hit_ns=self.cache_hit_ns * factor,
-            cpu_op_ns=self.cpu_op_ns,
-        )
+        return replace(self, **{
+            f.name: getattr(self, f.name) * factor
+            for f in fields(self) if f.name != "cpu_op_ns"})
 
 
 DEFAULT_LATENCY = LatencyConfig()

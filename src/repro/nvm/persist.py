@@ -181,7 +181,8 @@ class PersistDomain:
         """
         if not self.enabled:
             return 0
-        first, last = self._lines(offset, count)
+        first = offset // LINE_WORDS
+        last = first if count <= 1 else (offset + count - 1) // LINE_WORDS
         pending = self._pending
         added = 0
         for line in range(first, last + 1):
@@ -209,17 +210,6 @@ class PersistDomain:
     # ------------------------------------------------------------------
     # Epoch commit / fencing
     # ------------------------------------------------------------------
-    def _runs(self) -> Iterator[Tuple[int, int]]:
-        """Pending lines as sorted, contiguous (first_line, n_lines) runs."""
-        lines: List[int] = sorted(self._pending)
-        start = prev = lines[0]
-        for line in lines[1:]:
-            if line != prev + 1:
-                yield start, prev - start + 1
-                start = line
-            prev = line
-        yield start, prev - start + 1
-
     def commit_epoch(self) -> int:
         """Issue every pending line (sorted, coalesced) + one fence.
 
@@ -237,36 +227,47 @@ class PersistDomain:
         skipped too — it would order nothing.  Both skips are counted in
         ``DeviceStats.flushes_elided`` / ``fences_elided``.
         """
-        if not self._pending:
+        pending = self._pending
+        if not pending:
             return 0
-        drained = len(self._pending)
+        drained = len(pending)
+        device = self.device
         cert = self.elision
         if (cert is not None and cert.active
                 and cert.covers_domain(self.name)
-                and self.device.event_log is None):
-            redundant = [line for line in self._pending
-                         if self.device.line_durably_equal(line)]
+                and device.event_log is None):
+            redundant = [line for line in pending
+                         if device.line_durably_equal(line)]
             for line in redundant:
-                self.device.mark_line_clean(line)
-                self._pending.discard(line)
-            self.device.stats.flushes_elided += len(redundant)
+                device.mark_line_clean(line)
+                pending.discard(line)
+            device.stats.flushes_elided += len(redundant)
             cert.note_elided(flushes=len(redundant))
-            if not self._pending:
-                if self.device.has_unfenced:
-                    self.device.fence()
+            if not pending:
+                if device.has_unfenced:
+                    device.fence()
                 else:
-                    self.device.stats.fences_elided += 1
+                    device.stats.fences_elided += 1
                     cert.note_elided(fences=1)
-                self.device.stats.epochs += 1
+                device.stats.epochs += 1
                 return drained
-        size = self.device.size_words
-        for first_line, n_lines in self._runs():
-            start = first_line * LINE_WORDS
-            count = min(n_lines * LINE_WORDS, size - start)
-            self.device.clflush(start, count, asynchronous=True)
-        self._pending.clear()
-        self.device.fence()
-        self.device.stats.epochs += 1
+        # One clflush per run of contiguous lines, in ascending order.  The
+        # trailing None is never contiguous, so it closes the last run.
+        size = device.size_words
+        lines = sorted(pending)
+        lines.append(None)
+        first = prev = lines[0]
+        for line in lines[1:]:
+            if line != prev + 1:
+                start = first * LINE_WORDS
+                device.clflush(
+                    start, min((prev - first + 1) * LINE_WORDS, size - start),
+                    asynchronous=True)
+                first = line
+            prev = line
+        pending.clear()
+        device.fence()
+        device.stats.epochs += 1
         return drained
 
     def fence(self) -> None:

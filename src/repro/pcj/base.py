@@ -129,20 +129,22 @@ class PersistentObject:
     # Guarded word access (the per-operation ACID envelope)
     # ------------------------------------------------------------------
     def _word(self, index: int) -> int:
-        size = self.pool.payload_size(self.offset)
+        pool, offset = self.pool, self.offset
+        size = pool.payload_size(offset)
         if index < 0 or index >= size:
             raise IllegalArgumentException(
                 f"payload index {index} outside [0, {size})")
-        return self.pool.device.read(self.offset + index)
+        return pool.device.read(offset + index)
 
     def _read_word(self, index: int) -> int:
         """ACID read: JNI crossing, directory resolution, descriptor
         validation, then the actual word read."""
-        clock = self.pool.clock
+        pool, offset = self.pool, self.offset
+        clock = pool.clock
         with clock.scope("metadata"):
             clock.charge(NATIVE_CALL_NS + DIRECTORY_LOOKUP_NS)
-            self.pool.header_word(self.offset, HDR_TYPE)
-            self.pool.header_word(self.offset, HDR_VERSION)
+            pool.header_word(offset, HDR_TYPE)
+            pool.header_word(offset, HDR_VERSION)
         with clock.scope("data"):
             return self._word(index)
 

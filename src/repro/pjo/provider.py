@@ -20,7 +20,7 @@ are implemented and switchable:
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 from repro.errors import IllegalArgumentException
 from repro.h2.pjo_backend import DBPersistableBackend
@@ -63,8 +63,10 @@ class PjoEntityManager(AbstractEntityManager):
         self.backend = DBPersistableBackend(jvm, heap)
         self.field_tracking = field_tracking
         self.deduplication = deduplication
-        # entity instance id -> its DBPersistable handle
-        self._dbp_of: Dict[int, ObjectHandle] = {}
+        # id(entity) -> (entity, its DBPersistable handle).  The entry
+        # holds the entity itself so its id cannot be recycled by a new
+        # object while it is still mapped.
+        self._dbp_of: Dict[int, Tuple[Any, ObjectHandle]] = {}
 
     # ------------------------------------------------------------------
     # Schema: synthesise DBPersistable Klasses and backend tables
@@ -98,7 +100,15 @@ class PjoEntityManager(AbstractEntityManager):
         return schema_columns(meta)
 
     def _dbp_for_instance(self, instance: Any) -> Optional[ObjectHandle]:
-        return self._dbp_of.get(id(instance))
+        entry = self._dbp_of.get(id(instance))
+        return None if entry is None else entry[1]
+
+    def _map_dbp(self, instance: Any, dbp: ObjectHandle) -> None:
+        self._dbp_of[id(instance)] = (instance, dbp)
+
+    def clear(self) -> None:
+        super().clear()
+        self._dbp_of.clear()
 
     def _build_dbp(self, instance: Any, meta: EntityMeta) -> ObjectHandle:
         """Create the DBPersistable twin of *instance* (Figure 14b/c)."""
@@ -187,7 +197,7 @@ class PjoEntityManager(AbstractEntityManager):
         if self._dbp_for_instance(instance) is not None:
             return  # already flushed via a cascade
         dbp = self._build_dbp(instance, meta)
-        self._dbp_of[id(instance)] = dbp
+        self._map_dbp(instance, dbp)
         pk_value = getattr(instance, meta.pk_field)
         with self.clock.scope("database"):
             self.backend.persist_in_table(meta.root.table, pk_value, dbp)
@@ -202,7 +212,7 @@ class PjoEntityManager(AbstractEntityManager):
             with self.clock.scope("database"):
                 dbp = self.backend.retrieve(
                     meta.root.table, getattr(instance, meta.pk_field))
-            self._dbp_of[id(instance)] = dbp
+            self._map_dbp(instance, dbp)
         fields = (state.dirty_bitmap if self.field_tracking
                   else set(meta.all_field_names()))
         for field_name in sorted(fields):
@@ -345,7 +355,7 @@ class PjoEntityManager(AbstractEntityManager):
                     target_meta.pk_column.sql_type)
                 field_values[field_name] = target_pk
         instance = self._materialize(actual_meta, field_values, concrete)
-        self._dbp_of[id(instance)] = dbp
+        self._map_dbp(instance, dbp)
         state = state_of(instance)
         if self.deduplication and state is not None:
             self._enable_dedup(instance, state, dbp)

@@ -1,5 +1,7 @@
 """Tests for the CPU cache model and latency configuration."""
 
+import dataclasses
+
 import pytest
 
 from repro.nvm.clock import Clock
@@ -75,8 +77,11 @@ class TestAsyncFlush:
 class TestLatencyConfig:
     def test_scaled(self):
         scaled = DEFAULT_LATENCY.scaled(2.0)
-        assert scaled.nvm_read_ns == DEFAULT_LATENCY.nvm_read_ns * 2
-        assert scaled.clflush_ns == DEFAULT_LATENCY.clflush_ns * 2
+        memory = [f.name for f in dataclasses.fields(LatencyConfig)
+                  if f.name != "cpu_op_ns"]
+        assert "clflush_issue_ns" in memory and len(memory) == 8
+        for name in memory:
+            assert getattr(scaled, name) == getattr(DEFAULT_LATENCY, name) * 2
         assert scaled.cpu_op_ns == DEFAULT_LATENCY.cpu_op_ns  # CPU unscaled
 
     def test_custom_config_flows_to_devices(self, clock):

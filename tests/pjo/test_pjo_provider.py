@@ -1,5 +1,7 @@
 """PJO provider tests: JPA's API over PJH, plus the §5 optimisations."""
 
+import gc
+
 import pytest
 
 from repro.api import Espresso
@@ -216,3 +218,38 @@ class TestOptimisations:
             return em.clock.now_ns - start
 
         assert update_cost(em_tracked) < update_cost(em_full)
+
+
+class TestIdentityMapLifetime:
+    """``_dbp_of`` is keyed on ``id(entity)``: an id must never be
+    recycled by a new object while its old entry is still mapped."""
+
+    def test_fresh_entities_after_clear_are_persisted(self, em):
+        # CPython hands a freed entity's address to the next entity of
+        # the same size, so each round's objects reuse the ids of the
+        # previous round's.  A stale id -> handle entry made persist()
+        # skip them as "already flushed via a cascade".
+        for round_no in range(6):
+            tx = em.get_transaction()
+            tx.begin()
+            batch = [BasicPerson(round_no * 10 + i, f"first{round_no}",
+                                 "last", "+0") for i in range(8)]
+            for person in batch:
+                em.persist(person)
+            tx.commit()
+            em.clear()
+            del batch, person
+            gc.collect()
+        em.clear()
+        for pk in range(0, 60, 10):
+            for i in range(8):
+                found = em.find(BasicPerson, pk + i)
+                assert found is not None, f"entity {pk + i} was not persisted"
+                assert found.first_name == f"first{pk // 10}"
+
+    def test_mapped_entity_is_kept_alive(self, em):
+        persist_one(em, BasicPerson(1, "Ada", "L", "+44"))
+        assert all(entity is not None and id(entity) == key
+                   for key, (entity, _dbp) in em._dbp_of.items())
+        em.clear()
+        assert em._dbp_of == {}
