@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check test sweep sweep-fast fsck analyze analyze-fast \
+.PHONY: check test sweep sweep-fast sweep-pytest fsck analyze analyze-fast \
 	lint-persist lint-time obs-report fleet-smoke concurrent-smoke \
 	elision-report bench bench-traced bench-compare
 

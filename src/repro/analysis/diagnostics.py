@@ -82,6 +82,10 @@ RULE_CATALOGUE: Dict[str, Tuple[str, str]] = {
                "many Espresso sessions share one process, so state must "
                "live on the instance/config (or become an immutable "
                "table)"),
+    "ESP306": ("error",
+               "raw Clock.divert outside the clock and the worker pool — "
+               "run simulated threads under WorkerPool.on() so phase time "
+               "commits (max over workers) in one place"),
     # -- flush/fence-elision analysis --------------------------------------
     "ESP401": ("info",
                "redundant flush: the line was flushed again with no "

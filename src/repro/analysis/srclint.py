@@ -1,9 +1,8 @@
 """AST-based source lint: the ESP3xx rules.
 
-Successor to the regex greps in :mod:`repro.tools.lint_persist` and
-:mod:`repro.tools.lint_time` (which now delegate here).  Walking the AST
-instead of lines means comments, docstrings and string literals can name
-the forbidden APIs freely — only actual call expressions are flagged:
+Walking the AST instead of grepping lines means comments, docstrings and
+string literals can name the forbidden APIs freely — only actual call
+expressions are flagged:
 
 * **ESP301** — any ``clflush(...)`` call: the primitive belongs to the
   device layer; durable subsystems route flushes through
@@ -26,10 +25,14 @@ the forbidden APIs freely — only actual call expressions are flagged:
   the module.  Immutable lookup tables stay legal — only *mutated*
   containers are flagged.
 
-The historical exemption lists are preserved per rule family: the
-persist layer and the crash harness may flush and fence, the simulated
-clock and the observability layer may name wall-clock APIs.  ESP305 is
-the inverse shape: an *include* list — it only applies to the
+* **ESP306** — any ``divert`` method call: simulated threads run on
+  :meth:`repro.runtime.workers.WorkerPool.on`, the one gang, so phase
+  time is committed (max over workers) in exactly one place.
+
+Exemptions are per rule family: the persist layer and the crash harness
+may flush and fence, the simulated clock and the observability layer may
+name wall-clock APIs, the clock and the worker pool may divert.  ESP305
+is the inverse shape: an *include* list — it only applies to the
 re-entrant layers, everywhere else is out of scope.
 """
 
@@ -42,24 +45,26 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.diagnostics import Diagnostic, make_diagnostic
 
-#: Rules delegated to by the legacy lint-persist / lint-time entry points.
+#: The rule families behind ``make lint-persist`` / ``make lint-time``.
 PERSIST_RULES = ("ESP301", "ESP302")
 TIME_RULES = ("ESP303",)
 #: The re-entrancy gate over the session/core layers.
 SESSION_RULES = ("ESP305",)
-ALL_RULES = PERSIST_RULES + TIME_RULES + SESSION_RULES
+#: One gang: only the clock and the worker pool divert charges.
+GANG_RULES = ("ESP306",)
+ALL_RULES = PERSIST_RULES + TIME_RULES + SESSION_RULES + GANG_RULES
 
 #: Per-rule-family exemption prefixes (relative to a lint root).
-PERSIST_EXEMPT = ("repro/nvm/", "repro/faults/",
-                  "repro/tools/lint_persist.py")
-TIME_EXEMPT = ("repro/nvm/clock.py", "repro/obs/",
-               "repro/tools/lint_time.py")
+PERSIST_EXEMPT = ("repro/nvm/", "repro/faults/")
+TIME_EXEMPT = ("repro/nvm/clock.py", "repro/obs/")
+GANG_EXEMPT = ("repro/nvm/clock.py", "repro/runtime/workers.py")
 
 _EXEMPT_FOR: Dict[str, Tuple[str, ...]] = {
     "ESP301": PERSIST_EXEMPT,
     "ESP302": PERSIST_EXEMPT,
     "ESP303": TIME_EXEMPT,
     "ESP305": (),
+    "ESP306": GANG_EXEMPT,
 }
 
 #: Include prefixes: these rules apply *only* under the listed paths.
@@ -97,10 +102,6 @@ class LintFinding:
     def to_diagnostic(self) -> Diagnostic:
         return make_diagnostic(self.code, self.where,
                                f"{self.reason}: {self.line}")
-
-    def legacy_tuple(self) -> Tuple[str, int, str, str]:
-        """The (rel, lineno, line, reason) shape of the old linters."""
-        return (self.path, self.lineno, self.line, self.reason)
 
 
 class _CallScanner(ast.NodeVisitor):
@@ -140,6 +141,9 @@ class _CallScanner(ast.NodeVisitor):
             elif receiver_name == "datetime" \
                     and func.attr in ("now", "utcnow"):
                 self._hit(node, "ESP303", "wall-clock datetime.now")
+        if "ESP306" in self.rules and isinstance(func, ast.Attribute) \
+                and func.attr == "divert":
+            self._hit(node, "ESP306", "raw Clock.divert call")
         self.generic_visit(node)
 
 
@@ -286,8 +290,8 @@ def lint_paths(roots: Sequence[Path],
     """Lint every ``*.py`` under each root; deterministic ordering.
 
     Exemption prefixes are matched against root-relative paths, so the
-    historical lists keep working when a root is ``src/`` and are simply
-    inert for roots (like ``examples/``) with different layouts.
+    lists apply when a root is ``src/`` and are simply inert for roots
+    (like ``examples/``) with different layouts.
     """
     rule_set = tuple(rules) if rules is not None else ALL_RULES
     for rule in rule_set:

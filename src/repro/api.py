@@ -2,10 +2,9 @@
 
 One :class:`Espresso` object plays the role of one JVM process with the
 paper's extensions: ``new``/``pnew``, the Table 1 heap-management APIs
-(canonically snake_case — ``create_heap`` — with the paper's Java
-spellings kept as deprecated aliases), the §3.5 flush APIs, an
-:class:`~repro.obs.Observatory` at ``jvm.obs``, and restart/crash
-simulation for exercising recovery.
+(snake_case: ``create_heap`` is the paper's ``createHeap``), the §3.5
+flush APIs, an :class:`~repro.obs.Observatory` at ``jvm.obs``, and
+restart/crash simulation for exercising recovery.
 
 Quickstart (the paper's Figure 11)::
 
@@ -34,10 +33,9 @@ recommended way in — keyword-only, context-managed)::
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field as dataclass_field, replace
 from pathlib import Path
-from typing import Optional, Sequence, Set, Union
+from typing import Optional, Sequence, Union
 
 from repro.core.flush_api import (
     FlushReport,
@@ -123,43 +121,16 @@ class EspressoConfig:
 class Espresso:
     """One simulated JVM with Espresso's persistence extensions."""
 
-    def __init__(self, heap_dir: Union[str, Path], *legacy,
-                 clock: Optional[Clock] = None,
-                 latency: LatencyConfig = DEFAULT_LATENCY,
-                 heap_config: Optional[HeapConfig] = None,
-                 alias_aware: bool = True,
-                 observatory: Optional[Observatory] = None,
-                 gc_workers: int = 1,
-                 mutators: int = 1,
-                 config: Optional[EspressoConfig] = None) -> None:
-        #: Java-spelled aliases / legacy shims that already warned here.
-        self._warned_aliases: Set[str] = set()
-        if legacy:
-            # Pre-redesign signature: clock (then latency, ...) were
-            # positional.  Accept and map them, warning once.
-            self._warn_alias("__init__(heap_dir, clock, ...)",
-                             "__init__(heap_dir, clock=...)")
-            names = ("clock", "latency", "heap_config", "alias_aware",
-                     "observatory", "gc_workers", "config")
-            if len(legacy) > len(names):
-                raise TypeError(
-                    f"Espresso() takes at most {len(names)} positional "
-                    f"config arguments, got {len(legacy)}")
-            provided = dict(zip(names, legacy))
-            clock = provided.get("clock", clock)
-            latency = provided.get("latency", latency)
-            heap_config = provided.get("heap_config", heap_config)
-            alias_aware = provided.get("alias_aware", alias_aware)
-            observatory = provided.get("observatory", observatory)
-            gc_workers = provided.get("gc_workers", gc_workers)
-            config = provided.get("config", config)
-        if config is None:
-            config = EspressoConfig(
-                clock=clock, latency=latency,
-                heap_config=(heap_config if heap_config is not None
-                             else HeapConfig()),
-                alias_aware=alias_aware, observatory=observatory,
-                gc_workers=gc_workers, mutators=mutators)
+    def __init__(self, heap_dir: Union[str, Path], *,
+                 config: Optional[EspressoConfig] = None,
+                 **overrides) -> None:
+        """*overrides* are :class:`EspressoConfig` fields by name
+        (``Espresso(dir, gc_workers=3)``); they win over *config*, which
+        is copied, not mutated.  An unknown name is a ``TypeError``.
+        """
+        config = config if config is not None else EspressoConfig()
+        if overrides:
+            config = replace(config, **overrides)
         self.config = config
         if config.persistent_types is None:
             config.persistent_types = PersistentTypeRegistry()
@@ -176,7 +147,7 @@ class Espresso:
         self.heap_dir = Path(heap_dir)
 
     @classmethod
-    def open(cls, heap_dir: Union[str, Path], name: str, *legacy,
+    def open(cls, heap_dir: Union[str, Path], name: str, *,
              size_bytes: Optional[int] = None,
              safety: SafetyLevel = SafetyLevel.USER_GUARANTEED,
              region_words: int = 1024,
@@ -190,22 +161,7 @@ class Espresso:
         :meth:`FleetRouter.load <repro.fleet.FleetRouter.load>`; prefer
         :func:`repro.open_heap` / :meth:`session` as the way in.
         """
-        if legacy:
-            # Pre-redesign signature: open(dir, name, size_bytes, ...).
-            names = ("size_bytes", "safety", "region_words", "config")
-            if len(legacy) > len(names):
-                raise TypeError(
-                    f"Espresso.open() takes at most {len(names)} "
-                    f"positional arguments after name, got {len(legacy)}")
-            provided = dict(zip(names, legacy))
-            size_bytes = provided.get("size_bytes", size_bytes)
-            safety = provided.get("safety", safety)
-            region_words = provided.get("region_words", region_words)
-            config = provided.get("config", config)
         jvm = cls(heap_dir, config=config)
-        if legacy:
-            jvm._warn_alias("open(dir, name, size_bytes)",
-                            "open(dir, name, size_bytes=...)")
         if jvm.exists_heap(name):
             jvm.load_heap(name, safety)
         else:
@@ -305,7 +261,7 @@ class Espresso:
     def instance_of(self, handle, target):
         return self.vm.instance_of(handle, target)
 
-    # -- Table 1 heap management APIs (canonical snake_case) -----------------
+    # -- Table 1 heap management APIs ----------------------------------------
     def create_heap(self, name: str, size_bytes: int,
                     safety: SafetyLevel = SafetyLevel.USER_GUARANTEED,
                     region_words: int = 1024) -> PersistentHeap:
@@ -337,60 +293,6 @@ class Espresso:
         """
         return self.config.persistent_types.add(target)
 
-    # -- Table 1 Java spellings (deprecated thin aliases) --------------------
-    def reset_deprecation_warnings(self) -> None:
-        """Forget which Java-spelled aliases have warned (for tests)."""
-        self._warned_aliases.clear()
-
-    def _warn_alias(self, java_name: str, snake_name: str) -> None:
-        if java_name in self._warned_aliases:
-            return
-        if "(" in java_name:  # legacy-signature shim, not a Java alias
-            warnings.warn(
-                f"Espresso.{java_name} is deprecated; use "
-                f"Espresso.{snake_name}",
-                DeprecationWarning, stacklevel=3)
-        else:
-            warnings.warn(
-                f"Espresso.{java_name}() is deprecated; use "
-                f"Espresso.{snake_name}() (the canonical snake_case API)",
-                DeprecationWarning, stacklevel=3)
-        # Marked only after the warn returns: under
-        # ``-W error::DeprecationWarning`` every call must keep raising,
-        # not go silent after the first swallowed error.
-        self._warned_aliases.add(java_name)
-
-    def createHeap(self, name: str, size_bytes: int,
-                   safety: SafetyLevel = SafetyLevel.USER_GUARANTEED,
-                   region_words: int = 1024) -> PersistentHeap:
-        """Deprecated Java spelling of :meth:`create_heap`."""
-        self._warn_alias("createHeap", "create_heap")
-        return self.create_heap(name, size_bytes, safety, region_words)
-
-    def loadHeap(self, name: str,
-                 safety: SafetyLevel = SafetyLevel.USER_GUARANTEED,
-                 salvage: bool = False) -> PersistentHeap:
-        """Deprecated Java spelling of :meth:`load_heap`."""
-        self._warn_alias("loadHeap", "load_heap")
-        return self.load_heap(name, safety, salvage)
-
-    def existsHeap(self, name: str) -> bool:
-        """Deprecated Java spelling of :meth:`exists_heap`."""
-        self._warn_alias("existsHeap", "exists_heap")
-        return self.exists_heap(name)
-
-    def setRoot(self, root_name: str, value: Optional[ObjectHandle],
-                heap: Optional[str] = None) -> None:
-        """Deprecated Java spelling of :meth:`set_root`."""
-        self._warn_alias("setRoot", "set_root")
-        self.set_root(root_name, value, heap)
-
-    def getRoot(self, root_name: str,
-                heap: Optional[str] = None) -> Optional[ObjectHandle]:
-        """Deprecated Java spelling of :meth:`get_root`."""
-        self._warn_alias("getRoot", "get_root")
-        return self.get_root(root_name, heap)
-
     # -- §3.5 flush APIs --------------------------------------------------------------
     def flush_field(self, handle: ObjectHandle, field_name: str) -> None:
         flush_field(self.vm, handle, field_name)
@@ -405,7 +307,7 @@ class Espresso:
         """Transitively persist the closure; one line flush per cache line.
 
         Returns a :class:`~repro.core.flush_api.FlushReport` (object and
-        line counts; compares equal to its object count for old callers).
+        line counts).
         """
         return flush_reachable(self.vm, handle)
 
@@ -484,11 +386,6 @@ class Espresso:
         else:
             self.shutdown()
         return Espresso(self.heap_dir, config=replace(self.config))
-
-    def crash_and_restart(self) -> "Espresso":
-        """Deprecated: use :meth:`restart` with ``crash=True``."""
-        self._warn_alias("crash_and_restart()", "restart(crash=True)")
-        return self.restart(crash=True)
 
     # -- context manager: `with Espresso(...) as jvm:` shuts down cleanly ----
     def __enter__(self) -> "Espresso":

@@ -31,21 +31,10 @@ class FlushReport(NamedTuple):
 
     ``lines`` counts distinct cache lines enqueued — adjacent small objects
     share lines, so it is usually smaller than objects x words-per-object.
-    Compares equal to ``objects`` (an int) for callers that predate it.
     """
 
     objects: int
     lines: int
-
-    def __eq__(self, other):  # noqa: D105 - int-compat shim
-        if isinstance(other, int):
-            return self.objects == other
-        return tuple.__eq__(self, other)
-
-    def __ne__(self, other):  # noqa: D105
-        return not self.__eq__(other)
-
-    __hash__ = tuple.__hash__
 
 
 def _heap_of(vm: EspressoVM, handle: ObjectHandle):

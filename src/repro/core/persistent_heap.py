@@ -116,7 +116,7 @@ class PersistentHeap(PersistentSpaceService):
         # A session-level flush-elision certificate covers every domain
         # of a newly mounted heap (certify_elision installs it the same
         # way on heaps already mounted when it runs).
-        cert = getattr(self.vm, "elision_certificate", None)
+        cert = self.vm.elision_certificate
         if cert is not None:
             self.install_elision_certificate(cert)
 
@@ -220,22 +220,19 @@ class PersistentHeap(PersistentSpaceService):
         return address
 
     # Allocation proceeds TLAB-style: each mutator bump-allocates out of a
-    # private buffer of this many words (HotSpot's thread-local allocation
-    # buffers), so the clflush+sfence of step 2 is paid once per buffer
-    # refill rather than once per object.  The claim protocol keeps the
-    # paper's ordering: the window is durably zeroed, the replicated top
-    # advances over it, and a metadata table entry records the claim — all
-    # fenced before the first object lands in it.  A crash leaves the
-    # unclaimed tail durably zero; recovery truncates it (topmost buffer)
-    # or plugs it with an int[] filler (interior buffer).  Override per
-    # session with EspressoConfig(alloc_buffer_words=...).
-    TLAB_WORDS = 256
-
+    # private buffer of ``vm.alloc_buffer_words`` words (HotSpot's
+    # thread-local allocation buffers), so the clflush+sfence of step 2 is
+    # paid once per buffer refill rather than once per object.  The claim
+    # protocol keeps the paper's ordering: the window is durably zeroed,
+    # the replicated top advances over it, and a metadata table entry
+    # records the claim — all fenced before the first object lands in it.
+    # A crash leaves the unclaimed tail durably zero; recovery truncates it
+    # (topmost buffer) or plugs it with an int[] filler (interior buffer).
+    # Override per session with EspressoConfig(alloc_buffer_words=...).
     def _allocate_raw(self, size_words: int) -> int:
-        slot = getattr(self.vm, "current_mutator", 0)
-        buffer_words = min(
-            getattr(self.vm, "alloc_buffer_words", self.TLAB_WORDS) or 0,
-            ALLOC_BUF_MAX_WORDS)
+        slot = self.vm.current_mutator
+        buffer_words = min(self.vm.alloc_buffer_words or 0,
+                           ALLOC_BUF_MAX_WORDS)
         buffered = (0 <= slot < ALLOC_BUF_SLOTS
                     and buffer_words >= 2 * obj_layout.ARRAY_HEADER_WORDS)
         if buffered:
@@ -541,12 +538,8 @@ class PersistentHeap(PersistentSpaceService):
         the resulting image is identical and only the simulated scan time
         (max over workers) shrinks.
         """
-        if workers is None:
-            workers = getattr(self.vm, "gc_workers", 1)
-        if workers > 1:
-            from repro.runtime.workers import WorkerPool
-            pool = WorkerPool(self.vm.clock, workers, obs=self.vm.obs,
-                              label="zeroing")
+        pool = self.vm.gang("zeroing", workers)
+        if pool is not None:
             # Each worker discovers its own share of the walk: region
             # summaries let a parallel loader jump straight to its slice,
             # so the header reads that find object boundaries are charged
@@ -554,8 +547,7 @@ class PersistentHeap(PersistentSpaceService):
             addresses = []
             walker = self.walk()
             while True:
-                owner = pool.workers[len(addresses) % pool.n]
-                with self.vm.clock.divert(owner.meter):
+                with pool.on(len(addresses) % pool.n):
                     address = next(walker, None)
                 if address is None:
                     break

@@ -42,7 +42,8 @@ class NvmGCHooks(GCHooks):
     """GCHooks persisting every protocol step into the heap's NVM device."""
 
     def __init__(self, heap, flush_enabled: bool = True,
-                 recovery: bool = False, workers: int = 1) -> None:
+                 recovery: bool = False,
+                 pool: Optional[WorkerPool] = None) -> None:
         from repro.core.metadata import MetadataArea
         self.heap = heap
         self.device = heap.device
@@ -66,11 +67,11 @@ class NvmGCHooks(GCHooks):
         # another's pending lines.  A disabled domain forks disabled.
         self._main_persist = self.persist
         self._worker_domains = ([self.persist.fork(f"gc-w{i}")
-                                 for i in range(workers)]
-                                if workers > 1 else None)
-        # Set by PersistentGC/recover when workers > 1: lets the bulk
-        # bitmap persist fan out over the same gang as the engine phases.
-        self.pool = None
+                                 for i in range(pool.n)]
+                                if pool is not None else None)
+        # The engine's gang (None at width 1): lets the bulk bitmap
+        # persist fan out over the same workers as the engine phases.
+        self.pool = pool
 
     def on_worker(self, index) -> None:
         if self._worker_domains is None:
@@ -119,7 +120,7 @@ class NvmGCHooks(GCHooks):
         protocol needs (bitmaps durable before the flag) is preserved.
         """
         spans = [(off, begin_words), (off + self._per_map_words, live_words)]
-        if self.pool is None or not self.pool.parallel:
+        if self.pool is None:
             for base, words in spans:
                 self.device.write_block(base, words)
             self._flush(off, self.layout.bitmap_words)
@@ -292,13 +293,9 @@ class PersistentGC:
     def collect(self) -> PersistentGCResult:
         heap = self.heap
         vm = heap.vm
-        workers = (self.workers if self.workers is not None
-                   else getattr(vm, "gc_workers", 1))
-        hooks = NvmGCHooks(heap, flush_enabled=self.flush_enabled,
-                           workers=workers)
-        pool = (WorkerPool(vm.clock, workers, obs=vm.obs, label="gc")
-                if workers > 1 else None)
-        hooks.pool = pool
+        pool = vm.gang("gc", self.workers)
+        workers = pool.n if pool is not None else 1
+        hooks = NvmGCHooks(heap, flush_enabled=self.flush_enabled, pool=pool)
         engine = CompactionEngine(
             vm.access, heap.data_space, heap.layout.region_words, hooks=hooks,
             obs=vm.obs, pool=pool)

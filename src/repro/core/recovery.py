@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from repro.errors import CorruptHeapError
 from repro.runtime.old_gc import CompactionEngine
-from repro.runtime.workers import WorkerPool
 
 from repro.core.frame_segment import FRAME_WORDS
 from repro.core.metadata import TASK_RUNNING
@@ -62,16 +61,13 @@ def recover(heap) -> RecoveryReport:
         return RecoveryReport()
 
     vm = heap.vm
-    workers = getattr(vm, "gc_workers", 1)
-    hooks = NvmGCHooks(heap, recovery=True, workers=workers)
-    pool = (WorkerPool(vm.clock, workers, obs=vm.obs, label="recovery")
-            if workers > 1 else None)
-    hooks.pool = pool
+    pool = vm.gang("recovery")
+    hooks = NvmGCHooks(heap, recovery=True, pool=pool)
     engine = CompactionEngine(
         vm.access, heap.data_space, heap.layout.region_words, hooks=hooks,
         obs=vm.obs, pool=pool)
 
-    with vm.obs.span("recovery", heap=heap.name, workers=workers):
+    with vm.obs.span("recovery", heap=heap.name, workers=vm.gc_workers):
         # Step 1: fetch the persisted mark bitmaps.
         with vm.obs.span("recovery.fetch_bitmaps"):
             hooks.load_livemap(engine.livemap)

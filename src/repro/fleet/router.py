@@ -19,11 +19,10 @@ Request lifecycle
 :meth:`FleetRouter.submit` routes, admits (bounded per-shard queue —
 :class:`FleetBusyError` is backpressure, not buffering), stamps the
 arrival time and enqueues.  :meth:`FleetRouter.drain` then runs each
-shard's queue on its own simulated worker: per-shard service time is
-metered off the global clock (``clock.divert``) and the batch commits
-``max`` over shards — the WorkerPool barrier discipline, so K shards
-genuinely buy ~K× throughput on the shared timeline.  Per-request
-latency (queueing + service) feeds the shard's
+shard's queue on its own simulated worker of the router's
+:class:`~repro.runtime.workers.WorkerPool` and the batch commits ``max``
+over shards, so K shards genuinely buy ~K× throughput on the shared
+timeline.  Per-request latency (queueing + service) feeds the shard's
 :class:`~repro.obs.fleet.LatencyRecorder`.
 
 Fail-over
@@ -39,7 +38,6 @@ of this — see :mod:`repro.fleet.directory`.
 
 from __future__ import annotations
 
-import warnings
 import zlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional
@@ -59,7 +57,7 @@ from repro.fleet.directory import (
     shard_heap_name,
 )
 from repro.fleet.store import ShardStore
-from repro.nvm.clock import ChargeMeter, Clock
+from repro.nvm.clock import Clock
 from repro.obs import LatencyRecorder, Observatory, aggregate_fleet
 from repro.runtime.workers import WorkerPool
 
@@ -145,6 +143,9 @@ class FleetRouter:
         self.recovery = LatencyRecorder("fleet.recovery_ns", obs)
         #: session id -> shard index, to veto silent migration.
         self.placements: Dict[str, int] = {}
+        #: One simulated thread per shard; :meth:`drain` is its phase.
+        self.drain_pool = WorkerPool(clock, len(shards),
+                                     label="fleet.drain")
 
     # -- construction ---------------------------------------------------
     @staticmethod
@@ -155,28 +156,8 @@ class FleetRouter:
             clock=clock, observatory=obs, gc_workers=config.gc_workers,
             mutators=config.mutators))
 
-    @staticmethod
-    def _accept_legacy(method: str, legacy: tuple, config, clock):
-        """Map pre-redesign positional (config, clock) args, warning once
-        per call site style (keyword-only is the one config path shared
-        with :meth:`Espresso.open`)."""
-        if not legacy:
-            return config, clock
-        if len(legacy) > 2:
-            raise TypeError(
-                f"FleetRouter.{method}() takes at most 2 positional "
-                f"arguments after fleet_dir, got {len(legacy)}")
-        warnings.warn(
-            f"FleetRouter.{method}(fleet_dir, config, clock) with "
-            f"positional arguments is deprecated; pass config= and "
-            f"clock= as keywords",
-            DeprecationWarning, stacklevel=3)
-        provided = dict(zip(("config", "clock"), legacy))
-        return (provided.get("config", config),
-                provided.get("clock", clock))
-
     @classmethod
-    def create(cls, fleet_dir, *legacy,
+    def create(cls, fleet_dir, *,
                config: Optional[FleetConfig] = None,
                clock: Optional[Clock] = None) -> "FleetRouter":
         """Create a fresh fleet: directory heap first, then K shards.
@@ -185,7 +166,6 @@ class FleetRouter:
         crash mid-create leaves a directory that either does not list
         the shard or lists a fully created one.
         """
-        config, clock = cls._accept_legacy("create", legacy, config, clock)
         config = config if config is not None else FleetConfig()
         if config.shards < 1:
             raise IllegalArgumentException(
@@ -211,7 +191,7 @@ class FleetRouter:
                    fleet_obs)
 
     @classmethod
-    def load(cls, fleet_dir, *legacy,
+    def load(cls, fleet_dir, *,
              config: Optional[FleetConfig] = None,
              clock: Optional[Clock] = None) -> "FleetRouter":
         """Mount an existing fleet; shard heaps load on a worker gang.
@@ -219,7 +199,6 @@ class FleetRouter:
         The durable directory is the source of truth for shard count and
         size — ``config.shards`` is overwritten from it.
         """
-        config, clock = cls._accept_legacy("load", legacy, config, clock)
         config = config if config is not None else FleetConfig()
         clock = clock if clock is not None else Clock()
         fleet_obs = Observatory()
@@ -324,30 +303,33 @@ class FleetRouter:
     def drain(self) -> List[Request]:
         """Serve every queued request; commit max-over-shards time.
 
-        Each shard's queue runs with its service time diverted to a
-        per-shard meter; the global clock then advances once by the
-        slowest shard (the shards are parallel in simulated time).  A
-        request's latency is its queueing delay plus its position's
-        cumulative service time on its shard.
+        Each shard's queue runs on that shard's worker of the drain
+        pool; the global clock then advances once by the slowest shard
+        (the shards are parallel in simulated time).  A request's
+        latency is its queueing delay plus its position's cumulative
+        service time on its shard.  A drain that raises mid-queue (a
+        power failure inside a shard) charges nothing.
         """
         batch_start = self.clock.now_ns
-        busiest = 0.0
+        pool = self.drain_pool
         completed: List[Request] = []
-        for shard in self.shards:
-            if not shard.queue:
-                continue
-            meter = ChargeMeter()
-            with self.clock.divert(meter):
-                for request in shard.queue:
-                    request.result = self._serve(shard, request)
-                    request.done = True
-                    finish = batch_start + meter.ns
-                    shard.latency.record(finish - request.arrival_ns)
-                    shard.served += 1
-                    completed.append(request)
-            busiest = max(busiest, meter.take())
-            shard.queue = []
-        self.clock.charge(busiest, "fleet")
+        try:
+            for shard in self.shards:
+                if not shard.queue:
+                    continue
+                with pool.on(shard.index) as meter:
+                    for request in shard.queue:
+                        request.result = self._serve(shard, request)
+                        request.done = True
+                        finish = batch_start + meter.ns
+                        shard.latency.record(finish - request.arrival_ns)
+                        shard.served += 1
+                        completed.append(request)
+                shard.queue = []
+        except BaseException:
+            pool.abandon_phase()
+            raise
+        pool.commit_phase("drain", category="fleet")
         if completed:
             self.obs.inc("fleet.requests", len(completed))
         return completed

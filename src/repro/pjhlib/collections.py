@@ -408,9 +408,34 @@ class PjhHashmap(_PjhBase):
             cursor = jvm.get_field(cursor, "next")
         return None
 
+    def _remove_entry(self, buckets: ObjectHandle, index: int,
+                      prev: Optional[ObjectHandle],
+                      nxt: Optional[ObjectHandle]) -> None:
+        """One logged transaction: splice the entry after *prev* (the
+        bucket head when None) out of chain *index*, decrement size."""
+        jvm, vm = self.jvm, self.jvm.vm
+        self.txn.begin()
+        if prev is None:
+            slot = vm.access.element_slot(buckets.address, index)
+            self.txn.log_slot(slot)
+            jvm.array_set(buckets, index, nxt)
+            self._flush_words(slot, 1)
+        else:
+            entry_klass = vm.klass_of(prev)
+            slot = prev.address + entry_klass.field_offset("next")
+            self.txn.log_slot(slot)
+            jvm.set_field(prev, "next", nxt)
+            self._flush_words(slot, 1)
+        klass = vm.klass_of(self.h)
+        size_slot = self.h.address + klass.field_offset("size")
+        self.txn.log_slot(size_slot)
+        jvm.set_field(self.h, "size", self.size() - 1)
+        self._flush_words(size_slot, 1)
+        self.txn.commit()
+
     def remove_raw(self, key) -> bool:
         """Remove by a raw Python key without boxing it."""
-        jvm, vm = self.jvm, self.jvm.vm
+        jvm = self.jvm
         buckets = self._buckets()
         n = jvm.array_length(buckets)
         index = _hash_raw(key) % n
@@ -419,31 +444,14 @@ class PjhHashmap(_PjhBase):
         while cursor is not None:
             nxt = jvm.get_field(cursor, "next")
             if self._raw_key_matches(cursor, key):
-                self.txn.begin()
-                if prev is None:
-                    slot = vm.access.element_slot(buckets.address, index)
-                    self.txn.log_slot(slot)
-                    jvm.array_set(buckets, index, nxt)
-                    self._flush_words(slot, 1)
-                else:
-                    entry_klass = vm.klass_of(prev)
-                    slot = prev.address + entry_klass.field_offset("next")
-                    self.txn.log_slot(slot)
-                    jvm.set_field(prev, "next", nxt)
-                    self._flush_words(slot, 1)
-                klass = vm.klass_of(self.h)
-                size_slot = self.h.address + klass.field_offset("size")
-                self.txn.log_slot(size_slot)
-                jvm.set_field(self.h, "size", self.size() - 1)
-                self._flush_words(size_slot, 1)
-                self.txn.commit()
+                self._remove_entry(buckets, index, prev, nxt)
                 return True
             prev = cursor
             cursor = nxt
         return False
 
     def remove(self, key) -> bool:
-        jvm, vm = self.jvm, self.jvm.vm
+        jvm = self.jvm
         key_h = self._key_handle(key)
         buckets = self._buckets()
         n = jvm.array_length(buckets)
@@ -454,24 +462,7 @@ class PjhHashmap(_PjhBase):
         while cursor is not None:
             nxt = jvm.get_field(cursor, "next")
             if _equal_handles(jvm, jvm.get_field(cursor, "key"), key_h):
-                self.txn.begin()
-                if prev is None:
-                    slot = vm.access.element_slot(buckets.address, index)
-                    self.txn.log_slot(slot)
-                    jvm.array_set(buckets, index, nxt)
-                    self._flush_words(slot, 1)
-                else:
-                    entry_klass = vm.klass_of(prev)
-                    slot = prev.address + entry_klass.field_offset("next")
-                    self.txn.log_slot(slot)
-                    jvm.set_field(prev, "next", nxt)
-                    self._flush_words(slot, 1)
-                klass = vm.klass_of(self.h)
-                size_slot = self.h.address + klass.field_offset("size")
-                self.txn.log_slot(size_slot)
-                jvm.set_field(self.h, "size", self.size() - 1)
-                self._flush_words(size_slot, 1)
-                self.txn.commit()
+                self._remove_entry(buckets, index, prev, nxt)
                 return True
             prev = cursor
             cursor = nxt

@@ -2,8 +2,8 @@
 
 The GC/loading PRs gave the runtime a deterministic worker gang
 (:mod:`repro.runtime.workers`) but left mutation single-threaded.  This
-module extends the same ChargeMeter/divert machinery to *mutators*: each
-simulated mutator thread owns a meter, operations are written as Python
+module runs *mutators* on the same :class:`WorkerPool`: each simulated
+mutator thread is one pool worker, operations are written as Python
 generators that ``yield`` at their interleave points, and a seeded
 scheduler picks which mutator steps next — so a contended multi-mutator
 run is fully replayable from ``(seed, submitted ops)`` alone.
@@ -27,10 +27,10 @@ explores exactly one interleaving, while ``random.Random(seed)`` lets
 test suites and crash sweeps walk *many* schedules deterministically —
 same seed, same schedule, same durable image, byte for byte.
 
-Time works exactly like the GC gang: each step's device charges divert
-to the running mutator's meter, and :meth:`MutatorGang.run` commits one
-global advance of **max over mutators** (wall time of a parallel phase
-is the slowest thread, not the sum).  When an event log is installed the
+Time works exactly like the GC gang: each step runs under
+``pool.on(mutator)``, and :meth:`MutatorGang.run` commits one global
+advance of **max over mutators** (wall time of a parallel phase is the
+slowest thread, not the sum).  When an event log is installed the
 step also runs under :meth:`PersistEventLog.mutator`, so the recorded
 trace carries per-mutator program order for the ESP205 hazard rule.
 """
@@ -107,7 +107,6 @@ class MutatorGang:
                  obs: Observatory = NULL_OBS, vm=None) -> None:
         self.pool = WorkerPool(clock, workers=mutators, obs=obs,
                                label="mutators")
-        self.clock = clock
         #: When set, each scheduled step publishes its mutator index as
         #: ``vm.current_mutator`` so the heap routes the step's
         #: allocations into that mutator's allocation buffer.
@@ -181,19 +180,18 @@ class MutatorGang:
                 steps += 1
                 self._step += 1
                 op.steps += 1
-                worker = self.pool.workers[index]
                 saved_mutator = None
                 if self.vm is not None:
-                    saved_mutator = getattr(self.vm, "current_mutator", 0)
+                    saved_mutator = self.vm.current_mutator
                     self.vm.current_mutator = index
                 try:
-                    with self.clock.divert(worker.meter):
+                    with self.pool.on(index):
                         if event_log is not None:
                             with event_log.mutator(index):
                                 marker = next(op.gen)
                         else:
                             marker = next(op.gen)
-                    worker.tasks += 1
+                    self.pool.workers[index].tasks += 1
                 except StopIteration as stop:
                     op.result = stop.value
                     op.done = True

@@ -226,59 +226,14 @@ class CompactionEngine:
     # Phase 1: mark
     # ------------------------------------------------------------------
     def mark(self, roots: Iterable[RootSlot]) -> None:
-        """Trace from roots; mark in-space objects, traverse pass-through ones."""
-        with self.obs.span("gc.mark"):
-            if self.pool is not None:
-                self._mark_parallel(roots)
-            else:
-                self._mark(roots)
-        self.obs.inc("gc.marked_objects", self.stats.live_objects)
-
-    def _mark(self, roots: Iterable[RootSlot]) -> None:
-        in_space = self.space.contains
-        visited_outside: Set[int] = set()
-        stack: List[int] = []
-
-        def consider(address: int) -> None:
-            if address == layout.NULL:
-                return
-            if in_space(address):
-                if not self.livemap.is_marked(address):
-                    size = self.access.object_words(address)
-                    self.livemap.mark_object(address, size)
-                    self._clock.charge(self.TRACE_NS)
-                    self.stats.live_objects += 1
-                    self.stats.live_words += size
-                    stack.append(address)
-            elif self.traversable(address) and address not in visited_outside:
-                visited_outside.add(address)
-                stack.append(address)
-
-        for root in roots:
-            consider(root.get())
-        while stack:
-            current = stack.pop()
-            for slot in self.access.ref_slot_addresses(current):
-                target = self.access.memory.read(slot)
-                if target == layout.NULL:
-                    continue
-                if not in_space(current) and in_space(target):
-                    # Slot outside the space holds a pointer that will move.
-                    self._external_slots.append(slot)
-                consider(target)
-
-        self.timestamp = self.hooks.on_mark_complete(self.livemap)
-        self.stats.timestamp = self.timestamp
-
-    def _mark_parallel(self, roots: Iterable[RootSlot]) -> None:
-        """N-worker marking: partitioned roots, deterministic stealing.
+        """Trace from roots; mark in-space objects, traverse pass-through ones.
 
         The mark *result* is order-independent (the livemap is a set of
-        bits, external-slot fixes are idempotent), so any deterministic
-        interleaving yields the same image as the serial trace; only the
-        per-worker time accounting — and hence the pause — differs.
+        bits, external-slot fixes are idempotent), so the gang's
+        partitioned roots and deterministic stealing yield the same image
+        as the serial single-stack trace; only the per-worker time
+        accounting — and hence the pause — differs.
         """
-        pool = self.pool
         in_space = self.space.contains
         visited_outside: Set[int] = set()
 
@@ -297,13 +252,6 @@ class CompactionEngine:
                 visited_outside.add(address)
                 stack.append(address)
 
-        stacks: List[List[int]] = [[] for _ in range(pool.n)]
-        root_list = list(roots)
-        for worker in pool.workers:
-            with self._clock.divert(worker.meter):
-                for i in range(worker.index, len(root_list), pool.n):
-                    consider(root_list[i].get(), stacks[worker.index])
-
         def process(current: int, stack: List[int]) -> None:
             for slot in self.access.ref_slot_addresses(current):
                 target = self.access.memory.read(slot)
@@ -314,9 +262,25 @@ class CompactionEngine:
                     self._external_slots.append(slot)
                 consider(target, stack)
 
-        pool.run_stealing(stacks, process, phase="mark")
-        self.timestamp = self.hooks.on_mark_complete(self.livemap)
-        self.stats.timestamp = self.timestamp
+        pool = self.pool
+        with self.obs.span("gc.mark"):
+            if pool is None:
+                stack: List[int] = []
+                for root in roots:
+                    consider(root.get(), stack)
+                while stack:
+                    process(stack.pop(), stack)
+            else:
+                stacks: List[List[int]] = [[] for _ in range(pool.n)]
+                root_list = list(roots)
+                for index, stack in enumerate(stacks):
+                    with pool.on(index):
+                        for root in root_list[index::pool.n]:
+                            consider(root.get(), stack)
+                pool.run_stealing(stacks, process, phase="mark")
+            self.timestamp = self.hooks.on_mark_complete(self.livemap)
+            self.stats.timestamp = self.timestamp
+        self.obs.inc("gc.marked_objects", self.stats.live_objects)
 
     # ------------------------------------------------------------------
     # Phase 2: summary (idempotent — derived from bitmaps alone)

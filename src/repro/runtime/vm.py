@@ -53,6 +53,7 @@ from repro.runtime.objects import (
     bits_to_float,
     float_to_bits,
 )
+from repro.runtime.workers import WorkerPool
 
 _INT64_MASK = (1 << 64) - 1
 
@@ -603,14 +604,21 @@ class EspressoVM:
         with self.obs.span("gc.full"):
             roots = (self._handle_roots() + self._pjh_root_slots()
                      + self._memory_roots(self._remset_pjh_to_dram))
-            pool = None
-            if self.gc_workers > 1:
-                from repro.runtime.workers import WorkerPool
-                pool = WorkerPool(self.clock, self.gc_workers,
-                                  obs=self.obs, label="gc")
-            self.heap.full_collect(roots, pool=pool)
+            self.heap.full_collect(roots, pool=self.gang("gc"))
             self._rebuild_remsets_after_full_gc()
         self.obs.inc("gc.full.collections")
+
+    def gang(self, label: str,
+             workers: Optional[int] = None) -> Optional[WorkerPool]:
+        """A fresh :class:`~repro.runtime.workers.WorkerPool` of *workers*
+        simulated threads (default ``gc_workers``) on this VM's clock and
+        observatory — or ``None`` at width 1, where every caller keeps
+        its exact serial path.
+        """
+        width = self.gc_workers if workers is None else workers
+        if width <= 1:
+            return None
+        return WorkerPool(self.clock, width, obs=self.obs, label=label)
 
     def _scan_object_for_remsets(self, address: int) -> None:
         for slot in self.access.ref_slot_addresses(address):

@@ -4,10 +4,15 @@ The paper's collector is the *Parallel* Scavenge old GC (§4.2): mark,
 summary and compact all run on a gang of GC threads.  This reproduction
 executes on one Python thread, so parallelism is *simulated* the same way
 time is: every worker owns a :class:`~repro.nvm.clock.ChargeMeter`, runs
-its share of the work under :meth:`Clock.divert` (so device reads, copies
+its share of the work under :meth:`WorkerPool.on` (so device reads, copies
 and flushes charge the worker instead of the global clock), and at each
 phase barrier the pool advances the global clock once by the **maximum**
 over the workers — pause time is the slowest worker, not the sum.
+
+This is the one gang in the tree: GC, recovery, the zeroing scan, the
+mutator gang and the fleet's drain all run their simulated threads on a
+:class:`WorkerPool`, and nothing outside this module calls
+:meth:`Clock.divert` (srclint ESP306).  DESIGN.md §12 states the contract.
 
 Determinism is the design constraint, not an accident:
 
@@ -43,7 +48,7 @@ MARK_SLICE = 64
 
 @dataclass
 class SimWorker:
-    """One simulated GC thread: an index plus its accounting."""
+    """One simulated thread: an index plus its accounting."""
 
     index: int
     meter: ChargeMeter = field(default_factory=ChargeMeter)
@@ -53,10 +58,11 @@ class SimWorker:
 
 
 class WorkerPool:
-    """A deterministic gang of simulated GC workers over one clock.
+    """A deterministic gang of simulated threads over one clock.
 
-    One pool lives for one collection (or one recovery, or one zeroing
-    scan); per-phase accounting resets at each :meth:`commit_phase`.
+    A GC pool lives for one collection (or one recovery, or one zeroing
+    scan); the mutator gang and the fleet router keep theirs.  Per-phase
+    accounting resets at each :meth:`commit_phase`.
     """
 
     def __init__(self, clock: Clock, workers: int = 1,
@@ -66,10 +72,22 @@ class WorkerPool:
         self.obs = obs
         self.label = label
         self.workers = [SimWorker(i) for i in range(self.n)]
+        self._diverts = [clock.divert(w.meter) for w in self.workers]
 
     @property
     def parallel(self) -> bool:
         return self.n > 1
+
+    def on(self, index: int):
+        """``with pool.on(i):`` runs the block on simulated thread *i*.
+
+        Every charge inside lands on worker *i*'s meter (which the
+        ``with`` yields) instead of on global time.  The object is
+        cached and stateless, so blocks nest and re-enter freely; an
+        exception unwinds the diversion and leaves the meter as charged
+        so far, for :meth:`commit_phase` or :meth:`abandon_phase`.
+        """
+        return self._diverts[index]
 
     # ------------------------------------------------------------------
     # Partitioned fan-out (summary, zeroing scan, recovery partitions)
@@ -97,7 +115,7 @@ class WorkerPool:
             for worker in self.workers:
                 if worker_hook is not None:
                     worker_hook(worker.index)
-                with self.clock.divert(worker.meter):
+                with self.on(worker.index):
                     for position in range(worker.index, len(items), self.n):
                         results[position] = fn(items[position])
                         worker.tasks += 1
@@ -110,20 +128,22 @@ class WorkerPool:
     # ------------------------------------------------------------------
     # Phase barriers
     # ------------------------------------------------------------------
-    def commit_phase(self, phase: str,
-                     floor_ns: float = 0.0) -> float:
+    def commit_phase(self, phase: str, floor_ns: float = 0.0,
+                     category: Optional[str] = None) -> float:
         """Barrier: advance global time by the slowest worker of the phase.
 
         *floor_ns* lets an event-driven scheduler (whose makespan can
         exceed any single worker's busy time because of dependency
-        stalls) commit the schedule's completion time instead.  Returns
-        the committed nanoseconds.  Per-worker spans are emitted with the
-        busy time and task count as attributes — they carry accounting,
-        not wall duration, since one clock cannot express overlap.
+        stalls) commit the schedule's completion time instead; *category*
+        attributes the one charge (default: the innermost clock scope).
+        Returns the committed nanoseconds.  Per-worker spans are emitted
+        with the busy time and task count as attributes — they carry
+        accounting, not wall duration, since one clock cannot express
+        overlap.
         """
         elapsed = [w.meter.take() for w in self.workers]
         committed = max(max(elapsed), floor_ns)
-        self.clock.charge(committed)
+        self.clock.charge(committed, category)
         for worker, busy in zip(self.workers, elapsed):
             worker.elapsed_ns += busy
             if busy > 0.0 or worker.tasks:
@@ -135,6 +155,12 @@ class WorkerPool:
         for worker in self.workers:
             worker.tasks = 0
         return committed
+
+    def abandon_phase(self) -> None:
+        """Drop a phase that raised: zero every meter, charge nothing."""
+        for worker in self.workers:
+            worker.meter.take()
+            worker.tasks = 0
 
     # ------------------------------------------------------------------
     # Event-driven list scheduling (compaction ready-queue)
@@ -173,7 +199,7 @@ class WorkerPool:
                     f"dependency cycle among regions {sorted(pending)}")
             task = min(ready)
             worker = min(range(self.n), key=lambda i: (avail[i], i))
-            with self.clock.divert(self.workers[worker].meter):
+            with self.on(worker):
                 serialized = run(task, worker)
             duration = self.workers[worker].meter.take()
             start = max(avail[worker],
@@ -222,7 +248,7 @@ class WorkerPool:
                     stack.extend(stacks[victim][:grab])
                     del stacks[victim][:grab]
                     worker.steals += 1
-                with self.clock.divert(worker.meter):
+                with self.on(worker.index):
                     budget = MARK_SLICE
                     while stack and budget:
                         process(stack.pop(), stack)

@@ -1,14 +1,14 @@
-"""AST-based source lint: rules ESP301/302/303/305 and the CLI around them."""
+"""AST-based source lint: rules ESP301/302/303/305/306 and their CLI."""
 
 import json
 import os
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 from repro.analysis.srclint import (
     ALL_RULES,
+    GANG_RULES,
     PERSIST_RULES,
     SESSION_RULES,
     TIME_RULES,
@@ -88,7 +88,7 @@ class TestEsp305ModuleState:
         assert self._lint(tmp_path, source, rel="repro/fleet/router.py") != []
         assert self._lint(tmp_path, source, rel="repro/api.py") != []
         assert self._lint(tmp_path, source,
-                          rel="repro/tools/lint_persist.py") != []
+                          rel="repro/tools/fsck.py") != []
         assert self._lint(tmp_path, source,
                           rel="repro/workloads/concurrent_kv.py") != []
         assert self._lint(tmp_path, source,
@@ -163,6 +163,21 @@ class TestRules:
         assert [f.code for f in lint_paths([tmp_path], rules=PERSIST_RULES)] \
             == ["ESP301"]
 
+    def test_raw_divert_flagged_outside_the_gang(self, tmp_path):
+        source = "with self.clock.divert(meter):\n    pass\n"
+        write_tree(tmp_path, {"repro/fleet/router.py": source,
+                              "repro/nvm/clock.py": source,
+                              "repro/runtime/workers.py": source})
+        findings = lint_paths([tmp_path], rules=GANG_RULES)
+        assert [(f.path, f.code, f.reason) for f in findings] == [
+            ("repro/fleet/router.py", "ESP306", "raw Clock.divert call")]
+
+    def test_pool_on_is_legal(self, tmp_path):
+        write_tree(tmp_path, {"repro/fleet/router.py": (
+            "with pool.on(0) as meter:\n    pass\n"
+            "diverted = clock.diverted\n")})
+        assert lint_paths([tmp_path]) == []
+
     def test_syntax_error_files_skipped(self, tmp_path):
         write_tree(tmp_path, {"bad.py": "def broken(:\n"})
         assert lint_paths([tmp_path]) == []
@@ -214,61 +229,3 @@ class TestCli:
         assert proc.returncode == 0
         for code in ("ESP101", "ESP201", "ESP301"):
             assert code in proc.stdout
-
-
-class TestLegacyWrappers:
-    def test_find_violations_legacy_shape(self, tmp_path):
-        from repro.tools.lint_persist import find_violations
-        write_tree(tmp_path, {"a.py": "device.clflush(0)\n"})
-        assert find_violations(tmp_path) \
-            == [("a.py", 1, "device.clflush(0)", "raw clflush call")]
-
-    def test_find_violations_does_not_warn(self, tmp_path):
-        """pytest promotes DeprecationWarning to error: the library entry
-        point must stay silent (only the CLI warns)."""
-        from repro.tools.lint_time import find_violations
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            find_violations(tmp_path)
-
-    def test_legacy_main_warns_once(self, tmp_path, capsys):
-        from repro.tools import lint_persist
-        lint_persist.reset_deprecation_warning()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert lint_persist.main([str(tmp_path)]) == 0
-            assert lint_persist.main([str(tmp_path)]) == 0
-        deprecations = [w for w in caught
-                        if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-        assert "repro.analysis" in str(deprecations[0].message)
-        capsys.readouterr()
-
-    def test_legacy_main_raises_on_every_call_under_error_filter(
-            self, tmp_path, capsys):
-        """``-W error::DeprecationWarning`` must fail every invocation,
-        not only the first: marking the one-shot flag before the warn
-        would swallow all later errors."""
-        import pytest
-
-        from repro.tools import lint_persist, lint_time
-        for mod in (lint_persist, lint_time):
-            mod.reset_deprecation_warning()
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", DeprecationWarning)
-                for _ in range(2):
-                    with pytest.raises(DeprecationWarning,
-                                       match="repro.analysis"):
-                        mod.main([str(tmp_path)])
-        capsys.readouterr()
-
-    def test_legacy_main_output_format(self, tmp_path, capsys):
-        from repro.tools import lint_time
-        lint_time.reset_deprecation_warning()
-        write_tree(tmp_path, {"a.py": "t = time.time()\n"})
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            assert lint_time.main([str(tmp_path)]) == 1
-        out = capsys.readouterr().out
-        assert "a.py:1: wall-clock time.time: t = time.time()" in out
-        assert "lint-time: 1 violation(s)" in out

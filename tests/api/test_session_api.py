@@ -1,17 +1,18 @@
-"""The redesigned Espresso session API: surface, aliases, config carry.
+"""The Espresso session API: surface, constructor, config carry.
 
 Three contracts pinned here:
 
-* the canonical public surface (names + signatures) is a reviewed
-  artifact — adding, removing or reshaping a method must show up as a
-  diff in ``EXPECTED_SURFACE``;
-* every Java-spelled Table 1 alias still works, warns exactly once per
-  process with ``DeprecationWarning``, and delegates to its snake_case
-  canonical twin;
+* the public surface (names + signatures) is a reviewed artifact —
+  adding, removing or reshaping a method must show up as a diff in
+  ``EXPECTED_SURFACE`` — and every concept has exactly one entry point
+  (no Java-spelled alias, positional shim or forwarding module);
+* ``Espresso(dir, config=cfg, **overrides)`` takes any
+  ``EspressoConfig`` field by name, the keyword wins, and the caller's
+  config object is never mutated by an override;
 * ``restart()`` / ``restart(crash=True)`` carry the *full* session
   config — clock, latency, heap config, alias awareness, observatory,
   ``gc_workers``, ``mutators`` — instead of silently resetting knobs to
-  defaults (``crash_and_restart()`` remains as a warning shim).
+  defaults.
 """
 
 import inspect
@@ -27,10 +28,9 @@ from repro.obs import NULL_OBS, Observatory
 from repro.runtime.dram_heap import HeapConfig
 from repro.runtime.klass import FieldKind, field
 
-# The canonical surface: public method name -> parameter names
-# (self excluded).  Java aliases are listed separately below.
+# The public surface: method name -> parameter names (self excluded).
 EXPECTED_SURFACE = {
-    "open": ["heap_dir", "name", "legacy", "size_bytes", "safety",
+    "open": ["heap_dir", "name", "size_bytes", "safety",
              "region_words", "config"],
     "session": ["heap_dir", "name", "size_bytes", "safety",
                 "region_words", "config"],
@@ -64,23 +64,19 @@ EXPECTED_SURFACE = {
     "system_gc": [],
     "persistent_gc": ["heap"],
     "persistent_type": ["target"],
-    "reset_deprecation_warnings": [],
     "register_task": ["name", "fn"],
     "resumable_task": ["name", "heap"],
     "shutdown": [],
     "crash": [],
     "restart": ["crash"],
-    "crash_and_restart": [],
     "mutator_gang": ["seed", "mutators"],
 }
 
-JAVA_ALIASES = {
-    "createHeap": "create_heap",
-    "loadHeap": "load_heap",
-    "existsHeap": "exists_heap",
-    "setRoot": "set_root",
-    "getRoot": "get_root",
-}
+#: Second entry points deleted for good; none may come back.
+REMOVED_NAMES = ("createHeap", "loadHeap", "existsHeap", "setRoot",
+                 "getRoot", "crash_and_restart",
+                 "reset_deprecation_warnings", "_warn_alias",
+                 "_accept_legacy")
 
 
 def _params(func):
@@ -90,7 +86,7 @@ def _params(func):
 def test_api_surface_snapshot():
     surface = {}
     for name, member in vars(Espresso).items():
-        if name.startswith("_") or name in JAVA_ALIASES:
+        if name.startswith("_"):
             continue
         if isinstance(member, property):
             continue
@@ -103,10 +99,19 @@ def test_api_surface_snapshot():
     assert surface == EXPECTED_SURFACE
 
 
-def test_java_aliases_share_canonical_signatures():
-    for java, snake in JAVA_ALIASES.items():
-        assert _params(getattr(Espresso, java)) \
-            == _params(getattr(Espresso, snake)), java
+def test_one_entry_point_per_concept():
+    import repro.tools
+    from repro.fleet import FleetRouter
+    for owner in (Espresso, FleetRouter):
+        for name in REMOVED_NAMES:
+            assert not hasattr(owner, name), (owner.__name__, name)
+        for method in ("__init__", "open", "create", "load"):
+            func = getattr(owner, method, None)
+            if func is not None:
+                assert "legacy" not in inspect.signature(func).parameters
+    tools = Path(repro.tools.__file__).parent
+    assert sorted(p.name for p in tools.glob("*.py")) \
+        == ["__init__.py", "fsck.py", "heapdump.py"]
 
 
 def test_properties_exposed():
@@ -122,75 +127,36 @@ def test_config_dataclass_fields():
             "task_registry", "persistent_types"]
 
 
-def test_each_alias_warns_once_and_delegates(tmp_path):
-    jvm = Espresso(tmp_path / "heaps")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        jvm.createHeap("h", 64 * 1024)
-        assert jvm.existsHeap("h")
-        assert not jvm.existsHeap("nope")        # second call: no new warning
-        node = jvm.define_class("N", [field("v", FieldKind.INT)])
-        n = jvm.pnew(node)
-        jvm.setRoot("r", n)
-        assert jvm.getRoot("r") is not None
-        jvm2 = jvm.restart()
-        jvm2.loadHeap("h")
-    deprecations = [w for w in caught
-                    if issubclass(w.category, DeprecationWarning)]
-    messages = sorted(str(w.message).split("(")[0] for w in deprecations)
-    # one warning per distinct alias, regardless of call count
-    assert len(deprecations) == 5, messages
-    for java, snake in JAVA_ALIASES.items():
-        assert any(java in str(w.message) and snake in str(w.message)
-                   for w in deprecations), java
+def test_keyword_override_wins_over_config(tmp_path):
+    cfg = EspressoConfig(gc_workers=1, mutators=2)
+    jvm = Espresso(tmp_path / "heaps", gc_workers=3, config=cfg)
+    assert jvm.config.gc_workers == 3
+    assert jvm.vm.gc_workers == 3
+    assert jvm.config.mutators == 2                 # the rest is carried
+    # the caller's object is copied, not edited
+    assert jvm.config is not cfg
+    assert cfg.gc_workers == 1
+    assert cfg.persistent_types is None
 
 
-def test_alias_warns_again_after_reset(tmp_path):
-    jvm = Espresso(tmp_path / "heaps")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        jvm.existsHeap("x")
-        jvm.reset_deprecation_warnings()
-        jvm.existsHeap("x")
-    assert len([w for w in caught
-                if issubclass(w.category, DeprecationWarning)]) == 2
+def test_no_override_keeps_config_identity(tmp_path):
+    cfg = EspressoConfig(gc_workers=2)
+    assert Espresso(tmp_path / "heaps", config=cfg).config is cfg
 
 
-def test_alias_warnings_deduped_per_session_not_per_process(tmp_path):
-    """Two live sessions each warn once: the dedup set is per instance."""
-    a = Espresso(tmp_path / "a")
-    b = Espresso(tmp_path / "b")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        a.existsHeap("x")
-        b.existsHeap("x")
-        a.existsHeap("x")
-        b.existsHeap("x")
-    assert len([w for w in caught
-                if issubclass(w.category, DeprecationWarning)]) == 2
+def test_every_config_field_is_a_constructor_keyword(tmp_path):
+    jvm = Espresso(tmp_path / "heaps", alloc_buffer_words=0, resumable=True)
+    assert jvm.vm.alloc_buffer_words == 0
+    assert jvm.config.resumable is True
 
 
-def test_alias_raises_on_every_call_under_error_filter(tmp_path):
-    """``-W error::DeprecationWarning`` must fail every aliased call:
-    marking the dedup set before the warn would swallow all later
-    errors and silently let legacy spellings back in."""
-    jvm = Espresso(tmp_path / "heaps")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        for _ in range(2):
-            with pytest.raises(DeprecationWarning, match="existsHeap"):
-                jvm.existsHeap("x")
-        with pytest.raises(DeprecationWarning, match="size_bytes="):
-            Espresso.open(tmp_path / "h2", "box", 128 * 1024)
-        with pytest.raises(DeprecationWarning, match="size_bytes="):
-            Espresso.open(tmp_path / "h3", "box", 128 * 1024)
-    # The swallowed-error calls never reached the dedup set, so the
-    # session still owes its one ordinary warning.
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        jvm.existsHeap("x")
-    assert len([w for w in caught
-                if issubclass(w.category, DeprecationWarning)]) == 1
+def test_unknown_keyword_and_positional_config_rejected(tmp_path):
+    with pytest.raises(TypeError, match="gc_wrokers"):
+        Espresso(tmp_path / "heaps", gc_wrokers=3)
+    with pytest.raises(TypeError):
+        Espresso(tmp_path / "heaps", Clock())
+    with pytest.raises(TypeError):
+        Espresso.open(tmp_path / "heaps", "box", 128 * 1024)
 
 
 def test_snake_case_calls_never_warn(tmp_path):
@@ -219,17 +185,6 @@ def test_open_creates_then_loads(tmp_path):
     jvm2 = Espresso.open(tmp_path / "heaps", "box")  # exists: no size needed
     jvm2.define_class("N", [field("v", FieldKind.INT)])
     assert jvm2.get_field(jvm2.get_root("r"), "v") == 41
-
-
-def test_open_positional_size_bytes_warns_once(tmp_path):
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        jvm = Espresso.open(tmp_path / "heaps", "box", 128 * 1024)
-    deprecations = [w for w in caught
-                    if issubclass(w.category, DeprecationWarning)]
-    assert len(deprecations) == 1
-    assert "size_bytes=" in str(deprecations[0].message)
-    assert jvm.exists_heap("box")
 
 
 def test_open_missing_heap_without_size_raises(tmp_path):
@@ -304,21 +259,6 @@ def test_restart_carries_mutators_without_crash(tmp_path):
     jvm2 = jvm.restart()
     assert jvm2.config.mutators == 8
     assert jvm2.mutator_gang().n == 8
-
-
-def test_crash_and_restart_shim_warns_once_and_delegates(tmp_path):
-    obs = Observatory()
-    jvm = Espresso(tmp_path / "heaps", observatory=obs, mutators=2)
-    jvm.create_heap("h", 64 * 1024)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        jvm2 = jvm.crash_and_restart()
-    deprecations = [w for w in caught
-                    if issubclass(w.category, DeprecationWarning)]
-    assert len(deprecations) == 1
-    assert "restart(crash=True)" in str(deprecations[0].message)
-    assert jvm2.obs is obs
-    assert jvm2.config.mutators == 2
 
 
 def test_restarted_observatory_rebinds_to_new_clock(tmp_path):

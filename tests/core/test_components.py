@@ -220,7 +220,7 @@ class TestFlushApiErrors:
         from tests.core.conftest import define_node, pnew_list
         node = define_node(mounted)
         head = pnew_list(mounted, node, [1, 2, 3, 4, 5])
-        assert mounted.flush_reachable(head) == 5
+        assert mounted.flush_reachable(head).objects == 5
 
 
 class TestHeapStats:

@@ -133,7 +133,7 @@ def test_flush_reachable_persists_graph(heap_dir):
     jvm.create_heap("h", HEAP_BYTES)
     head = pnew_list(jvm, node, [5, 6, 7, 8])
     flushed = jvm.flush_reachable(head)
-    assert flushed == 4
+    assert flushed.objects == 4
     jvm.set_root("head", head)
     jvm.crash()
 

@@ -150,6 +150,42 @@ class TestFailover:
         fleet.recover_shard(0)
         assert fleet.get("alice", "k") is None       # never committed
 
+    def test_bombed_drain_charges_nothing_and_leaves_no_stale_time(
+            self, tmp_path):
+        """A drain that raises mid-queue abandons the whole phase: the
+        clock does not move and no worker meter keeps the partial time
+        for the next drain to charge."""
+        from repro.errors import SimulatedCrash
+        from repro.faults.harness import _FlushBomb
+
+        fleet = _fleet(tmp_path, shards=3)
+        home = {}
+        for i in range(64):
+            home.setdefault(fleet.route(f"s{i}"), f"s{i}")
+        assert sorted(home) == [0, 1, 2]
+        victim = 1          # shard 0 is fully served before the bomb
+        for n in range(3):
+            for sid in home.values():
+                fleet.submit(sid, "put", f"k{n}", "v")
+        device = fleet.shards[victim].jvm.heaps.heap(
+            shard_heap_name(victim)).device
+        before = fleet.clock.now_ns
+        with _FlushBomb([device], 12), pytest.raises(SimulatedCrash):
+            fleet.drain()
+        assert fleet.clock.now_ns == before
+        assert [w.meter.ns for w in fleet.drain_pool.workers] == [0.0] * 3
+
+        fleet.crash_shard(victim)
+        last = {0: fleet.submit(home[0], "put", "late", "v"),
+                2: fleet.shards[2].queue[-1]}    # still queued from above
+        batch_start = fleet.clock.now_ns
+        fleet.drain()
+        busy = {i: fleet.shards[i].latency.samples[-1]
+                + request.arrival_ns - batch_start
+                for i, request in last.items()}
+        assert busy[2] > busy[0] > 0             # three puts against one
+        assert fleet.clock.now_ns - batch_start == pytest.approx(busy[2])
+
     def test_recovery_restores_committed_state(self, tmp_path):
         fleet = _fleet(tmp_path, shards=2, gc_workers=3)
         for i in range(20):
@@ -260,19 +296,8 @@ class TestSessionApi:
         gang = fleet.shards[0].jvm.mutator_gang()
         assert gang.n == 4
 
-    def test_positional_config_warns_once(self, tmp_path):
-        import warnings
-
-        with pytest.warns(DeprecationWarning, match="config"):
-            fleet = FleetRouter.create(
-                tmp_path / "fleet",
-                FleetConfig(shards=1, shard_size_bytes=512 * 1024))
-        fleet.put("a", "k", "v")
-        fleet.shutdown()
-        with pytest.warns(DeprecationWarning, match="config"):
-            FleetRouter.load(tmp_path / "fleet", FleetConfig(shards=1))
-
     def test_too_many_positionals_rejected(self, tmp_path):
         with pytest.raises(TypeError):
-            FleetRouter.create(tmp_path / "fleet",
-                               FleetConfig(shards=1), None, "extra")
+            FleetRouter.create(tmp_path / "fleet", FleetConfig(shards=1))
+        with pytest.raises(TypeError):
+            FleetRouter.load(tmp_path / "fleet", FleetConfig(shards=1))

@@ -92,6 +92,42 @@ class TestPartitioned:
 
 
 # ----------------------------------------------------------------------
+# pool.on(): the one way onto a simulated thread
+# ----------------------------------------------------------------------
+class TestOn:
+    def test_nests_and_reenters(self):
+        clock = Clock()
+        pool = WorkerPool(clock, 2)
+        with pool.on(0) as meter:
+            clock.charge(1.0)
+            with pool.on(1):
+                clock.charge(10.0)
+                with pool.on(0):             # re-entered inside itself
+                    clock.charge(100.0)
+            clock.charge(1000.0)
+        assert meter is pool.workers[0].meter
+        assert [w.meter.ns for w in pool.workers] == [1101.0, 10.0]
+        assert clock.now_ns == 0.0 and not clock.diverted
+        assert pool.commit_phase("t", category="fleet") == 1101.0
+        assert clock.breakdown() == {"fleet": 1101.0}
+
+    def test_exception_unwinds_and_abandon_charges_nothing(self):
+        clock = Clock()
+        pool = WorkerPool(clock, 2)
+        with pytest.raises(RuntimeError):
+            with pool.on(0):
+                clock.charge(5.0)
+                with pool.on(1):
+                    clock.charge(7.0)
+                    raise RuntimeError("crash")
+        assert not clock.diverted            # both diversions unwound
+        assert [w.meter.ns for w in pool.workers] == [5.0, 7.0]
+        pool.abandon_phase()
+        assert [w.meter.ns for w in pool.workers] == [0.0, 0.0]
+        assert pool.commit_phase("t") == 0.0 and clock.now_ns == 0.0
+
+
+# ----------------------------------------------------------------------
 # Event-driven schedule (compaction ready-queue)
 # ----------------------------------------------------------------------
 class TestSchedule:

@@ -1,10 +1,15 @@
-"""The lint-persist rule, enforced as part of tier-1."""
+"""The ``make lint-persist`` rules (ESP301/302), enforced in tier-1."""
 
 from pathlib import Path
 
-from repro.tools.lint_persist import EXEMPT, find_violations
+from repro.analysis.srclint import PERSIST_EXEMPT, PERSIST_RULES, lint_paths
 
 SRC_ROOT = Path(__file__).resolve().parents[2] / "src"
+
+
+def find_violations(root):
+    return [(f.path, f.lineno, f.line, f.reason)
+            for f in lint_paths([root], rules=PERSIST_RULES)]
 
 
 def test_no_raw_flush_calls_outside_persist_layer():
@@ -17,8 +22,7 @@ def test_no_raw_flush_calls_outside_persist_layer():
 def test_exemptions_are_the_persist_and_fault_layers_only():
     # The exemption list is part of the contract: widening it should be a
     # conscious, reviewed decision.
-    assert EXEMPT == ("repro/nvm/", "repro/faults/",
-                      "repro/tools/lint_persist.py")
+    assert PERSIST_EXEMPT == ("repro/nvm/", "repro/faults/")
 
 
 def test_linter_flags_a_raw_clflush(tmp_path):

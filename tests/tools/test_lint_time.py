@@ -1,10 +1,15 @@
-"""The lint-time rule, enforced as part of tier-1."""
+"""The ``make lint-time`` rule (ESP303), enforced in tier-1."""
 
 from pathlib import Path
 
-from repro.tools.lint_time import EXEMPT, find_violations
+from repro.analysis.srclint import TIME_EXEMPT, TIME_RULES, lint_paths
 
 SRC_ROOT = Path(__file__).resolve().parents[2] / "src"
+
+
+def find_violations(root):
+    return [(f.path, f.lineno, f.line, f.reason)
+            for f in lint_paths([root], rules=TIME_RULES)]
 
 
 def test_no_wall_clock_reads_outside_clock_layer():
@@ -17,8 +22,7 @@ def test_no_wall_clock_reads_outside_clock_layer():
 def test_exemptions_are_the_clock_and_obs_layers_only():
     # The exemption list is part of the contract: widening it should be a
     # conscious, reviewed decision.
-    assert EXEMPT == ("repro/nvm/clock.py", "repro/obs/",
-                      "repro/tools/lint_time.py")
+    assert TIME_EXEMPT == ("repro/nvm/clock.py", "repro/obs/")
 
 
 def test_linter_flags_wall_clock_reads(tmp_path):
