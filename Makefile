@@ -1,15 +1,16 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check test sweep sweep-fast sweep-pytest fsck analyze analyze-fast \
-	lint-persist lint-time obs-report fleet-smoke concurrent-smoke \
-	elision-report bench bench-traced bench-compare
+.PHONY: check test test-ledger sweep sweep-fast sweep-pytest fsck analyze \
+	analyze-fast lint-persist lint-time obs-report fleet-smoke \
+	concurrent-smoke elision-report bench bench-traced bench-compare
 
 # The CI gate: the full static analyzer, the tier-1 suite, a strided
 # smoke pass of every crash sweep (including the fleet fail-over and
-# concurrent-gang layers), the end-to-end fleet and gang smokes, then
-# the flush-elision gates.
-check: analyze test sweep-fast fleet-smoke concurrent-smoke elision-report
+# concurrent-gang layers), the end-to-end fleet and gang smokes, the
+# flush-elision gates, then the perf ledger's own tests.
+check: analyze test sweep-fast fleet-smoke concurrent-smoke elision-report \
+	test-ledger
 
 # Per-bench clflush/sfence deltas for the allocation buffers + flush-
 # elision certificate (DESIGN.md §17): re-runs the fig17 and TPC-C
@@ -53,6 +54,12 @@ analyze-fast:
 # Tier-1: the full unit/integration suite (exhaustive sweeps deselected).
 test:
 	$(PYTHON) -m pytest
+
+# The perf ledger's tests (~15 s).  `testpaths` keeps them out of tier-1,
+# so without this a rename in `repro.faults` (or anything else a ledger
+# workload imports) would first show up as failed benchmark operations.
+test-ledger:
+	$(PYTHON) -m pytest bench-ledger/tests -q
 
 # Exhaustive crash sweeps: every layer x every fault mode, every
 # injection point until the workload outruns the bomb.

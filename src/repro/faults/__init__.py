@@ -1,6 +1,6 @@
 """Repo-wide fault injection: crash sweeps across every persistence layer.
 
-The package glues three existing mechanisms into one harness:
+The package glues three existing mechanisms into one :class:`Sweep`:
 
 * :class:`~repro.nvm.failpoints.FailpointRegistry` — protocol-level crash
   points between consecutive persistence events;
@@ -9,25 +9,21 @@ The package glues three existing mechanisms into one harness:
 * :class:`~repro.nvm.device.FaultMode` — how the simulated NVDIMM loses
   data at the crash instant (atomic-line, torn-line, reordered-lines).
 
-:mod:`repro.faults.sweeps` registers one sweep per persistence layer (PJH
-allocation + GC, H2 SQL, the pjhlib collection library, PCJ's NVML undo
-log, the PJO commit path, mixed persist domains, and the crash-transparent
-resume protocol); ``python -m repro.faults.sweep_all`` runs every sweep
-under every fault mode.
+:mod:`repro.faults.sweeps` registers one sweep per persistence layer — ten
+of them: PJH allocation + GC, the allocation-buffer claim protocol, H2 SQL,
+the pjhlib collection library, PCJ's NVML undo log, the PJO commit path,
+mixed persist domains, the crash-transparent resume protocol, fleet
+fail-over and the concurrent mutator gang; ``python -m
+repro.faults.sweep_all`` runs every sweep under every fault mode.
 """
 
-from repro.faults.harness import (
-    CrashSweepHarness,
-    SweepIteration,
-    SweepReport,
-)
-from repro.faults.sweeps import SWEEPS, SweepSpec, run_sweep
+from repro.faults.harness import Sweep, SweepIteration, SweepReport
+from repro.faults.sweeps import SWEEPS, run_sweep
 
 __all__ = [
-    "CrashSweepHarness",
+    "Sweep",
     "SweepIteration",
     "SweepReport",
     "SWEEPS",
-    "SweepSpec",
     "run_sweep",
 ]

@@ -1,8 +1,8 @@
-"""A generic crash-sweep harness over pluggable workload callbacks.
+"""One crash sweep is one :class:`Sweep` object.
 
 A *sweep* runs one workload many times, injecting a simulated crash at a
 different point each time, and after every crash performs recovery and
-checks invariants.  The harness owns the sweep loop and the injection
+checks invariants.  The :class:`Sweep` owns the walk and the injection
 plumbing; the subject under test supplies callbacks:
 
 ``setup()``
@@ -10,39 +10,40 @@ plumbing; the subject under test supplies callbacks:
     object.  Runs *outside* injection.
 ``devices(ctx)``
     The :class:`~repro.nvm.device.NvmDevice` instances whose fault mode is
-    configured and (for flush sweeps) whose ``clflush`` is instrumented.
+    configured and (for the ``"flush"`` bomb) whose ``clflush`` is
+    instrumented.
 ``registry(ctx)``
-    The :class:`~repro.nvm.failpoints.FailpointRegistry` to arm (failpoint
-    sweeps only).
+    The :class:`~repro.nvm.failpoints.FailpointRegistry` to arm (the
+    ``"failpoint"`` bomb and :meth:`Sweep.run_site`).
 ``workload(ctx)``
     The operations being swept.  May raise
     :class:`~repro.errors.SimulatedCrash`.
-``recover(ctx, crashed)``
+``recover(ctx)``
     Apply power loss (``device.crash()`` via the layer's own crash entry
     point) and reload/recover; returns a *recovered* context.
 ``invariant(rctx, completed)``
     Assert the recovered state is consistent.  ``completed`` tells whether
     the workload ran to the end (exact final state must then hold).
 ``fsck(rctx)`` (optional)
-    Return an :class:`~repro.tools.fsck.FsckReport`; the harness asserts
+    Return an :class:`~repro.tools.fsck.FsckReport`; the sweep asserts
     ``report.clean`` after every recovery.
 ``teardown(ctx, rctx)`` (optional)
     Release temp directories etc.  Runs even when an iteration fails.
-``observatory(ctx)`` (optional)
-    Return the :class:`~repro.obs.Observatory` tracing a context (defaults
-    to ``ctx.obs`` when present).  When an iteration's recovery, invariant
-    or fsck check fails, the harness dumps the recorded span timelines of
-    the crashed and recovered contexts alongside the assertion, so a sweep
-    failure arrives with the exact sequence of GC/WAL/recovery phases that
-    led to it.
 
-Three sweep styles are provided: :meth:`CrashSweepHarness.sweep_global_hits`
-(exhaustive walk of every failpoint), :meth:`~CrashSweepHarness.sweep_site`
-(every ordinal of one site), and
-:meth:`~CrashSweepHarness.sweep_flush_boundaries` (crash after the N-th
-``clflush`` across all devices).  Each terminates when the workload first
-runs to completion without the injection firing — by construction every
-earlier injection point has then been exercised.
+A context that carries a live :class:`~repro.obs.Observatory` as
+``ctx.obs`` is *traced*: when an iteration's recovery, invariant or fsck
+check fails, the recorded span timelines of the crashed and recovered
+contexts are dumped alongside the assertion, so a sweep failure arrives
+with the exact sequence of GC/WAL/recovery phases that led to it.
+
+The bomb kind picks the injection points: ``"failpoint"`` crashes at the
+N-th hit of *any* failpoint (between every pair of consecutive
+persistence events the workload marks), ``"flush"`` after the N-th
+``clflush`` across all devices.  :meth:`Sweep.run` walks N upward and
+terminates when the workload first runs to completion without the bomb
+firing — by construction every earlier injection point has then been
+exercised; ``exhaustive=False`` takes the sweep's fast stride and cap
+instead.  :meth:`Sweep.run_site` walks every ordinal of one named site.
 """
 
 from __future__ import annotations
@@ -140,20 +141,49 @@ class _FlushBomb:
         return False
 
 
-class CrashSweepHarness:
-    """Drives crash sweeps for one workload; see the module docstring."""
+def _observatory_of(ctx) -> Optional[Any]:
+    """The live Observatory tracing *ctx* (``ctx.obs``), if any."""
+    obs = getattr(ctx, "obs", None)
+    if obs is None or not getattr(obs, "enabled", False):
+        return None
+    return obs
 
-    def __init__(self, name: str, *,
+
+def _timeline_dump(ctx, rctx) -> str:
+    """Render the crashed and recovered contexts' span timelines."""
+    sections = []
+    for label, context in (("crashed", ctx), ("recovered", rctx)):
+        obs = _observatory_of(context)
+        if obs is not None:
+            sections.append(f"--- {label} context timeline ---\n"
+                            f"{obs.render_timeline()}")
+    return "\n".join(sections)
+
+
+class Sweep:
+    """A named crash sweep of one workload; see the module docstring.
+
+    ``fast_stride`` / ``fast_max_points`` are the stride and point cap of
+    the under-budget walk the default test selection runs.
+    """
+
+    BOMBS = {"failpoint": "failpoint-global", "flush": "flush-boundary"}
+
+    def __init__(self, name: str, *, bomb: str,
                  setup: Callable[[], Any],
                  workload: Callable[[Any], None],
-                 recover: Callable[[Any, bool], Any],
+                 recover: Callable[[Any], Any],
                  invariant: Callable[[Any, bool], None],
                  devices: Callable[[Any], Sequence[NvmDevice]],
                  registry: Optional[Callable[[Any], Any]] = None,
                  fsck: Optional[Callable[[Any], Any]] = None,
                  teardown: Optional[Callable[[Any, Any], None]] = None,
-                 observatory: Optional[Callable[[Any], Any]] = None) -> None:
+                 fast_stride: int = 1,
+                 fast_max_points: Optional[int] = None) -> None:
+        if bomb not in self.BOMBS:
+            raise ValueError(f"{name}: unknown bomb kind {bomb!r}")
         self.name = name
+        self.bomb = bomb
         self.setup = setup
         self.workload = workload
         self.recover = recover
@@ -162,54 +192,42 @@ class CrashSweepHarness:
         self.registry = registry
         self.fsck = fsck
         self.teardown = teardown
-        self.observatory = observatory
+        self.fast_stride = fast_stride
+        self.fast_max_points = fast_max_points
 
-    def _observatory_of(self, ctx) -> Optional[Any]:
-        if ctx is None:
-            return None
-        obs = (self.observatory(ctx) if self.observatory is not None
-               else getattr(ctx, "obs", None))
-        if obs is None or not getattr(obs, "enabled", False):
-            return None
-        return obs
+    def run(self, fault_mode: str = FaultMode.ATOMIC, *,
+            exhaustive: bool = True, seed: int = 0) -> SweepReport:
+        """Walk the bomb's injection points 1, 2, ... until the workload
+        completes; ``exhaustive=False`` walks 1, 1+fast_stride, ... for at
+        most ``fast_max_points`` points."""
+        stride, max_points = ((1, None) if exhaustive else
+                              (self.fast_stride, self.fast_max_points))
+        return self._walk(None, fault_mode, seed, stride, max_points)
 
-    def _timeline_dump(self, ctx, rctx) -> str:
-        """Render the crashed and recovered contexts' span timelines."""
-        sections = []
-        for label, context in (("crashed", ctx), ("recovered", rctx)):
-            obs = self._observatory_of(context)
-            if obs is not None:
-                sections.append(f"--- {label} context timeline ---\n"
-                                f"{obs.render_timeline()}")
-        return "\n".join(sections)
+    def run_site(self, site: str, fault_mode: str = FaultMode.ATOMIC, *,
+                 seed: int = 0) -> SweepReport:
+        """Crash at every ordinal hit of one named failpoint site."""
+        return self._walk(site, fault_mode, seed, 1, None)
 
-    # -- injection context managers ---------------------------------------
     @contextmanager
-    def _armed_global(self, ctx, nth: int):
+    def _armed(self, ctx, site: Optional[str], nth: int):
+        """Arm injection point *nth* around the workload, disarm after."""
+        if site is None and self.bomb == "flush":
+            with _FlushBomb(self.devices(ctx), nth):
+                yield
+            return
         registry = self.registry(ctx)
-        registry.crash_on_global_hit(nth)
+        if site is None:
+            registry.crash_on_global_hit(nth)
+        else:
+            registry.crash_on_hit(site, nth)
         try:
             yield
         finally:
             registry.clear()
 
-    @contextmanager
-    def _armed_site(self, ctx, site: str, nth: int):
-        registry = self.registry(ctx)
-        registry.crash_on_hit(site, nth)
-        try:
-            yield
-        finally:
-            registry.clear()
-
-    @contextmanager
-    def _armed_flush(self, ctx, nth: int):
-        with _FlushBomb(self.devices(ctx), nth):
-            yield
-
-    # -- one iteration ------------------------------------------------------
-    def _run_point(self, point: int, fault_mode: str, seed: int,
-                   arm) -> SweepIteration:
+    def _run_point(self, point: int, site: Optional[str], fault_mode: str,
+                   seed: int) -> SweepIteration:
         ctx = self.setup()
         rctx = None
         try:
@@ -218,13 +236,13 @@ class CrashSweepHarness:
             crashed = False
             completed = False
             try:
-                with arm(ctx):
+                with self._armed(ctx, site, point):
                     self.workload(ctx)
                     completed = True
             except SimulatedCrash:
                 crashed = True
             try:
-                rctx = self.recover(ctx, crashed)
+                rctx = self.recover(ctx)
                 self.invariant(rctx, completed)
                 fsck_clean = None
                 if self.fsck is not None:
@@ -240,7 +258,7 @@ class CrashSweepHarness:
                 # A sweep failure without the phase history is nearly
                 # undebuggable: attach the recorded span timelines of both
                 # contexts (when tracing was enabled) to the failure.
-                dump = self._timeline_dump(ctx, rctx)
+                dump = _timeline_dump(ctx, rctx)
                 if dump:
                     raise AssertionError(
                         f"{self.name}: point {point} ({fault_mode}) failed: "
@@ -251,19 +269,17 @@ class CrashSweepHarness:
             if self.teardown is not None:
                 self.teardown(ctx, rctx)
 
-    # -- sweep drivers ------------------------------------------------------
-    def _sweep(self, strategy: str, arm_factory, fault_mode: str, seed: int,
-               start: int, stride: int,
-               max_points: Optional[int]) -> SweepReport:
+    def _walk(self, site: Optional[str], fault_mode: str, seed: int,
+              stride: int, max_points: Optional[int]) -> SweepReport:
         if fault_mode not in FaultMode.ALL:
             raise ValueError(f"unknown fault mode {fault_mode!r}")
+        strategy = (self.BOMBS[self.bomb] if site is None
+                    else f"failpoint-site:{site}")
         report = SweepReport(self.name, strategy, fault_mode)
-        point = start
+        point = 1
         cap = max_points if max_points is not None else DEFAULT_MAX_POINTS
         while len(report.iterations) < cap:
-            iteration = self._run_point(
-                point, fault_mode, seed,
-                arm=lambda ctx, n=point: arm_factory(ctx, n))
+            iteration = self._run_point(point, site, fault_mode, seed)
             report.iterations.append(iteration)
             if not iteration.crashed:
                 break  # the workload outran the injection: sweep is done
@@ -273,41 +289,11 @@ class CrashSweepHarness:
             # DEFAULT_MAX_POINTS injection points.  Returning a "capped"
             # report here would let a sweep silently stop exercising its
             # tail — every point past the cap would go untested while the
-            # sweep still looked green.  An explicit ``max_points`` opts
-            # into partial coverage; the default cap does not.
+            # sweep still looked green.  The fast cap opts into partial
+            # coverage; the default cap does not.
             raise RuntimeError(
                 f"{self.name}[{fault_mode}/{strategy}]: workload still "
                 f"crashing after {cap} injection points (backstop "
                 f"DEFAULT_MAX_POINTS) — the sweep did not reach workload "
-                f"completion; pass max_points explicitly to accept a "
-                f"partial sweep")
+                f"completion")
         return report
-
-    def sweep_global_hits(self, fault_mode: str = FaultMode.ATOMIC, *,
-                          seed: int = 0, start: int = 1, stride: int = 1,
-                          max_points: Optional[int] = None) -> SweepReport:
-        """Crash at the N-th hit of *any* failpoint, N = start, start+stride, ...
-
-        With ``stride=1`` this is exhaustive: a crash is injected between
-        every pair of consecutive persistence events the workload marks.
-        """
-        return self._sweep("failpoint-global", self._armed_global,
-                           fault_mode, seed, start, stride, max_points)
-
-    def sweep_site(self, site: str, fault_mode: str = FaultMode.ATOMIC, *,
-                   seed: int = 0, start: int = 1, stride: int = 1,
-                   max_points: Optional[int] = None) -> SweepReport:
-        """Crash at every ordinal hit of one named failpoint site."""
-        return self._sweep(
-            f"failpoint-site:{site}",
-            lambda ctx, nth: self._armed_site(ctx, site, nth),
-            fault_mode, seed, start, stride, max_points)
-
-    def sweep_flush_boundaries(self, fault_mode: str = FaultMode.ATOMIC, *,
-                               seed: int = 0, start: int = 1, stride: int = 1,
-                               max_points: Optional[int] = None) -> SweepReport:
-        """Crash after the N-th ``clflush`` across the workload's devices."""
-        if self.devices is None:
-            raise ValueError(f"{self.name}: flush sweep needs a devices callback")
-        return self._sweep("flush-boundary", self._armed_flush,
-                           fault_mode, seed, start, stride, max_points)

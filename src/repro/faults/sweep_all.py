@@ -8,7 +8,8 @@ Usage::
     python -m repro.faults.sweep_all --fast --json sweeps.json
 
 Prints one summary line per (sweep, mode) pair; exits non-zero if any
-iteration's invariant or fsck assertion fails.  ``--json PATH`` also
+sweep fails — a failed invariant or fsck assertion, or any other exception
+out of it — after running every remaining pair.  ``--json PATH`` also
 writes a machine-readable summary with per-layer point counts (total
 injection points, crash points, fsck-checked recoveries, exhaustion),
 so a CI run's sweep coverage is diffable without scraping stdout.
@@ -53,11 +54,16 @@ def main(argv: List[str] = None) -> int:
             try:
                 report = run_sweep(name, mode, exhaustive=not args.fast,
                                    seed=args.seed)
-            except AssertionError as exc:
+            except Exception as exc:
+                # Not only a failed invariant: the backstop's RuntimeError,
+                # a raising setup() or a plain bug in a workload is one
+                # failed layer, never the end of the run — the remaining
+                # pairs still sweep and the JSON is still written.
                 failures += 1
+                error = f"{type(exc).__name__}: {exc}"
                 layers.append({"name": name, "fault_mode": mode,
-                               "failed": True, "error": str(exc)})
-                print(f"{name}[{mode}]: FAILED: {exc}")
+                               "failed": True, "error": error})
+                print(f"{name}[{mode}]: FAILED: {error}")
                 continue
             layers.append(dict(report.to_dict(), failed=False))
             print(report.summary())

@@ -1,104 +1,171 @@
-"""Registered crash sweeps: one per persistence layer.
+"""Registered crash sweeps: one :class:`~repro.faults.harness.Sweep` per
+persistence layer, in :data:`SWEEPS` by name.
 
-Each :class:`SweepSpec` names a harness factory plus the sweep style and the
-fast-mode parameters used by the default test selection (the exhaustive
-walks carry ``@pytest.mark.sweep`` and run via ``make sweep`` /
-``python -m repro.faults.sweep_all``).
+The exhaustive walks carry ``@pytest.mark.sweep`` and run via ``make
+sweep`` / ``python -m repro.faults.sweep_all``; the default test selection
+runs each sweep's fast stride and cap.
 
-Layers covered:
+Layers, with the bomb kind (each builder below tells its own story):
 
-* ``pjh_alloc_gc``   — persistent allocation + persistent GC (failpoints)
-* ``pjh_alloc_buffer`` — the per-mutator allocation-buffer claim protocol:
-  tiny TLABs over freshly-reclaimed (stale-image) space, crashed at every
-  flush boundary of the zero/top/table-entry/filler sequence; recovery
-  must truncate or plug every partially-filled window with no resurrected
-  objects (flush boundaries)
-* ``h2_sql``         — the SQL engine's WAL (flush boundaries)
-* ``pjhlib``         — Java-level ACID collections (flush boundaries)
-* ``pcj_nvml``       — PCJ's NVML-style undo-log transactions (flush)
-* ``pjo_commit``     — the PJO commit path with dedup + field tracking (flush)
-* ``mixed_domains``  — PJH allocation interleaved with H2 WAL commits, both
-  routed through coalescing persist domains on separate devices (flush)
-* ``resume_task``    — crash-transparent execution: a resumable task's
-  persistent frame stack, crashed at every protocol failpoint and resumed
-  after restart; the resumed durable image must be byte-identical to an
-  uncrashed run's (failpoints)
-* ``fleet_failover`` — the sharded multi-heap fleet: one shard is
-  power-failed at every flush boundary mid-traffic while its siblings
-  keep serving, then recovered on the worker gang; every shard and the
-  shard directory fsck clean, routing stays correct (no request lands on
-  a down shard, no session migrates), and the durable directory image is
-  byte-identical to an uncrashed run's (flush boundaries, victim device
-  only)
-* ``concurrent_kv``  — the concurrent mutator gang hammering the
-  lock-free durable map: a 3-mutator contended KV workload is crashed at
-  every flush boundary (each an arbitrary cut through the seeded
-  interleaving); the recovered map must pass its protocol audit, satisfy
-  durable linearizability against the gang's recorded history, and fsck
-  clean (flush boundaries)
+* ``pjh_alloc_gc`` [failpoint] — persistent allocation + persistent GC
+* ``pjh_alloc_buffer`` [flush] — the per-mutator allocation-buffer claim
+  protocol, over freshly-reclaimed (stale-image) space
+* ``h2_sql`` [flush] — the SQL engine's WAL
+* ``pjhlib`` [flush] — Java-level ACID collections
+* ``pcj_nvml`` [flush] — PCJ's NVML-style undo-log transactions
+* ``pjo_commit`` [flush] — the PJO commit path with dedup + field tracking
+* ``mixed_domains`` [flush] — PJH allocation interleaved with H2 WAL
+  commits, through coalescing persist domains on separate devices
+* ``resume_task`` [failpoint] — a resumable task's persistent frame stack,
+  resumed after restart to a byte-identical durable image
+* ``fleet_failover`` [flush, victim device only] — one shard of a fleet
+  power-failed mid-traffic while its siblings keep serving
+* ``concurrent_kv`` [flush] — the concurrent mutator gang hammering the
+  lock-free durable map
+
+How to add a layer.  Write a ``_<layer>()`` function returning a
+``Sweep`` and list it in :data:`SWEEPS`.  A layer that lives in a PJH
+session calls :func:`_pjh_sweep`, which owns the temp dir, the traced
+``GC_WORKERS`` session, crash + reopen + ``load_heap``, the fsck after
+every recovery and teardown; the layer states only what is its own:
+
+* ``heap`` and ``**session`` — the heap's name, extra ``EspressoConfig``
+  fields;
+* ``prepare(ctx)`` — define classes, ``create_heap``, pre-sweep churn,
+  hanging what the workload needs on ``ctx`` (``ctx.jvm`` is the session);
+* ``workload(ctx)`` — the operations being crashed;
+* ``reattach(ctx, rctx)`` — rebuild library objects over the recovered
+  ``rctx.jvm`` / ``rctx.heap`` and hang them on ``rctx``;
+* ``invariant(rctx, completed)`` — assert the recovered state.
+
+A layer on another substrate (a bare ``Database``, a ``MemoryPool``, a
+fleet) builds its ``Sweep`` directly from the same five callbacks.
 """
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import shutil
 import tempfile
-from dataclasses import dataclass
+import zlib
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Callable, Dict, Optional
+from typing import Dict
 
-from repro.faults.harness import CrashSweepHarness, SweepReport
+from repro.api import Espresso
+from repro.errors import ShardDownError
+from repro.faults.harness import Sweep, SweepReport
+from repro.fleet.directory import DIRECTORY_HEAP, shard_heap_name
+from repro.fleet.router import FleetConfig, FleetRouter
+from repro.h2.engine import Database
+from repro.jpab.model import BasicPerson
 from repro.nvm.device import FaultMode
 from repro.obs import Observatory
+from repro.pcj import MemoryPool, PersistentLong
+from repro.pjhlib import PjhHashmap, PjhLong, PjhTransaction
+from repro.pjo import PjoEntityManager
+from repro.runtime.klass import FieldKind, field
+from repro.tools.fsck import fsck_heap
+from repro.workloads.concurrent_kv import ConcurrentKvWorkload
 
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """A named sweep: how to build its harness and how to drive it."""
-
-    name: str
-    strategy: str               # "failpoint" | "flush"
-    factory: Callable[[], CrashSweepHarness]
-    fast_stride: int            # stride for the under-budget default tests
-    fast_max_points: int
-
-
-#: Every sweep harness runs its JVMs with a parallel GC gang, so each
-#: induced crash (and each recovery) exercises the worker scheduler's
+#: Every sweep runs its JVMs with a parallel GC gang, so each induced
+#: crash (and each recovery) exercises the worker scheduler's
 #: protocol-state guarantees, not just the serial collector's.
 GC_WORKERS = 3
 
-SWEEPS: Dict[str, SweepSpec] = {}
 
-
-def _register(spec: SweepSpec) -> SweepSpec:
-    SWEEPS[spec.name] = spec
-    return spec
-
-
-def run_sweep(name: str, fault_mode: str = FaultMode.ATOMIC, *,
-              exhaustive: bool = True, seed: int = 0) -> SweepReport:
-    """Run one registered sweep; ``exhaustive=False`` uses the fast stride."""
-    spec = SWEEPS[name]
-    harness = spec.factory()
-    if spec.strategy == "failpoint":
-        run = harness.sweep_global_hits
-    else:
-        run = harness.sweep_flush_boundaries
-    if exhaustive:
-        return run(fault_mode, seed=seed)
-    return run(fault_mode, seed=seed, stride=spec.fast_stride,
-               max_points=spec.fast_max_points)
+def _image_hash(heap) -> str:
+    return hashlib.sha256(heap.device.durable_image().tobytes()).hexdigest()
 
 
 # ----------------------------------------------------------------------
-# PJH allocation + persistent GC (failpoint sweep, fsck after recovery)
+# The PJH-session scaffold shared by seven of the ten layers
 # ----------------------------------------------------------------------
-def _pjh_harness() -> CrashSweepHarness:
-    from repro.api import Espresso
-    from repro.runtime.klass import FieldKind, field
-    from repro.tools.fsck import fsck_heap
+def _power_cycle(ctx, open_session):
+    ctx.jvm.crash()  # power loss: durable image saved, heap unmounted
+    return open_session(ctx.tmp)
 
+
+def _pjh_sweep(name: str, bomb: str, *, heap: str, prepare, workload,
+               invariant, fast_stride: int, fast_max_points: int,
+               reattach=None, reopen=_power_cycle, devices=None,
+               **session) -> Sweep:
+    """A sweep over one PJH heap in a traced session; see "How to add a
+    layer" in the module docstring.  ``reopen(ctx, open_session)`` (crash
+    the session, return its successor) and ``devices(ctx)`` are for the
+    layers whose session is not alone in the world.
+    """
+
+    def open_session(tmp, **extra):
+        return Espresso(tmp / "heaps", observatory=Observatory(),
+                        gc_workers=GC_WORKERS, **session, **extra)
+
+    def setup():
+        tmp = Path(tempfile.mkdtemp(prefix=f"sweep-{name}-"))
+        try:
+            jvm = open_session(tmp)
+            ctx = SimpleNamespace(tmp=tmp, jvm=jvm, obs=jvm.obs)
+            prepare(ctx)
+        except BaseException:
+            shutil.rmtree(tmp, ignore_errors=True)
+            raise
+        return ctx
+
+    def recover(ctx):
+        jvm = reopen(ctx, open_session)
+        jvm.load_heap(heap)
+        rctx = SimpleNamespace(jvm=jvm, heap=jvm.heaps.heap(heap),
+                               obs=jvm.obs)
+        if reattach is not None:
+            reattach(ctx, rctx)
+        return rctx
+
+    def fsck(rctx):
+        report = fsck_heap(rctx.heap)
+        assert report.frames_clean, report.frame_errors
+        return report
+
+    return Sweep(
+        name, bomb=bomb, fast_stride=fast_stride,
+        fast_max_points=fast_max_points,
+        setup=setup, workload=workload, recover=recover,
+        invariant=invariant, fsck=fsck,
+        teardown=lambda ctx, rctx: shutil.rmtree(ctx.tmp,
+                                                 ignore_errors=True),
+        devices=devices or (lambda ctx: [ctx.jvm.heaps.heap(heap).device]),
+        registry=lambda ctx: ctx.jvm.vm.failpoints)
+
+
+# The subject four layers share: a linked chain of nodes stamped ``v``,
+# newest first, each published (flush_reachable) before it is rooted.
+_NODE_FIELDS = (field("v", FieldKind.INT), field("next", FieldKind.REF))
+
+
+def _anchor(jvm, klass, v, keep):
+    """Allocate node *v* ahead of *keep*, publish it, root it at "keep"."""
+    n = jvm.pnew(klass)
+    jvm.set_field(n, "v", v)
+    if keep is not None:
+        jvm.set_field(n, "next", keep)
+    jvm.flush_reachable(n)
+    jvm.set_root("keep", n)
+    return n
+
+
+def _chain(jvm, head):
+    """The ``v`` stamps along a rooted ``next`` chain, head first."""
+    values = []
+    while head is not None:
+        values.append(jvm.get_field(head, "v"))
+        head = jvm.get_field(head, "next")
+    return values
+
+
+# ----------------------------------------------------------------------
+# PJH allocation + persistent GC (failpoint sweep)
+# ----------------------------------------------------------------------
+def _pjh_alloc_gc() -> Sweep:
     CHURN = 18       # allocations before GC (most become garbage)
     POST_GC = 6      # allocations after GC (over the reclaimed tail)
 
@@ -107,47 +174,23 @@ def _pjh_harness() -> CrashSweepHarness:
         committed += list(range(CHURN, CHURN + POST_GC))
         return committed
 
-    def setup():
-        tmp = Path(tempfile.mkdtemp(prefix="sweep-pjh-"))
-        jvm = Espresso(tmp / "heaps", observatory=Observatory(),
-                       gc_workers=GC_WORKERS)
-        node = jvm.define_class("SweepNode", [field("v", FieldKind.INT),
-                                              field("next", FieldKind.REF)])
-        jvm.create_heap("h", 256 * 1024, region_words=128)
-        return SimpleNamespace(tmp=tmp, jvm=jvm, node=node, obs=jvm.obs)
-
-    def commit_anchor(ctx, handle):
-        ctx.jvm.flush_reachable(handle)
-        ctx.jvm.set_root("keep", handle)
+    def prepare(ctx):
+        ctx.node = ctx.jvm.define_class("SweepNode", _NODE_FIELDS)
+        ctx.jvm.create_heap("h", 256 * 1024, region_words=128)
 
     def workload(ctx):
         jvm = ctx.jvm
         keep = None
         for i in range(CHURN):
-            n = jvm.pnew(ctx.node)
-            jvm.set_field(n, "v", i)
             if i % 3 == 0:
-                if keep is not None:
-                    jvm.set_field(n, "next", keep)
-                keep = n
-                commit_anchor(ctx, keep)
+                keep = _anchor(jvm, ctx.node, i, keep)
             else:
+                n = jvm.pnew(ctx.node)
+                jvm.set_field(n, "v", i)
                 n.close()  # garbage for the collector
         jvm.persistent_gc()
         for i in range(CHURN, CHURN + POST_GC):
-            n = jvm.pnew(ctx.node)
-            jvm.set_field(n, "v", i)
-            jvm.set_field(n, "next", keep)
-            keep = n
-            commit_anchor(ctx, keep)
-
-    def recover(ctx, crashed):
-        ctx.jvm.crash()  # power loss: durable image saved, heap unmounted
-        jvm2 = Espresso(ctx.tmp / "heaps", observatory=Observatory(),
-                        gc_workers=GC_WORKERS)
-        jvm2.load_heap("h")
-        return SimpleNamespace(jvm=jvm2, heap=jvm2.heaps.heap("h"),
-                               obs=jvm2.obs)
+            keep = _anchor(jvm, ctx.node, i, keep)
 
     def invariant(rctx, completed):
         jvm = rctx.jvm
@@ -155,11 +198,7 @@ def _pjh_harness() -> CrashSweepHarness:
         head = jvm.get_root("keep")
         if completed or head is not None:
             assert head is not None, "committed root lost"
-            chain = []
-            cursor = head
-            while cursor is not None:
-                chain.append(jvm.get_field(cursor, "v"))
-                cursor = jvm.get_field(cursor, "next")
+            chain = _chain(jvm, head)
             # The chain is exactly the committed anchors down from its head:
             # flush_reachable + setRoot published every link before the root.
             head_v = chain[0]
@@ -169,30 +208,17 @@ def _pjh_harness() -> CrashSweepHarness:
             if completed:
                 assert head_v == allowed[-1], chain
 
-    def fsck(rctx):
-        from repro.tools.fsck import fsck_heap
-        return fsck_heap(rctx.heap)
-
-    def teardown(ctx, rctx):
-        shutil.rmtree(ctx.tmp, ignore_errors=True)
-
-    return CrashSweepHarness(
-        "pjh_alloc_gc",
-        setup=setup, workload=workload, recover=recover,
-        invariant=invariant, fsck=fsck, teardown=teardown,
-        devices=lambda ctx: [ctx.jvm.heaps.heap("h").device],
-        registry=lambda ctx: ctx.jvm.vm.failpoints)
-
-
-_register(SweepSpec("pjh_alloc_gc", "failpoint", _pjh_harness,
-                    fast_stride=13, fast_max_points=10))
+    return _pjh_sweep("pjh_alloc_gc", "failpoint", heap="h",
+                      prepare=prepare, workload=workload,
+                      invariant=invariant,
+                      fast_stride=13, fast_max_points=10)
 
 
 # ----------------------------------------------------------------------
 # Per-mutator allocation buffers: the refill/retire claim protocol
-# (flush-boundary sweep, fsck after recovery)
+# (flush-boundary sweep)
 # ----------------------------------------------------------------------
-def _alloc_buffer_harness() -> CrashSweepHarness:
+def _pjh_alloc_buffer() -> Sweep:
     """Crash the TLAB claim protocol at every flush boundary.
 
     Tiny buffers (32 words) force a refill every couple of allocations,
@@ -203,71 +229,37 @@ def _alloc_buffer_harness() -> CrashSweepHarness:
     still holds stale object images — the exact shape where a sloppy
     tail truncation would resurrect dead objects.
     """
-    from repro.api import Espresso, EspressoConfig
-    from repro.runtime.klass import FieldKind, field
-
     BUF_WORDS = 32
     GARBAGE = 10
     ROUNDS = 10
 
-    def _config():
-        return EspressoConfig(observatory=Observatory(),
-                              gc_workers=GC_WORKERS,
-                              alloc_buffer_words=BUF_WORDS)
-
-    def setup():
-        tmp = Path(tempfile.mkdtemp(prefix="sweep-tlab-"))
-        jvm = Espresso(tmp / "heaps", config=_config())
-        node = jvm.define_class("BufNode", [field("v", FieldKind.INT),
-                                            field("next", FieldKind.REF)])
+    def prepare(ctx):
+        jvm = ctx.jvm
+        node = ctx.node = jvm.define_class("BufNode", _NODE_FIELDS)
         jvm.create_heap("h", 256 * 1024, region_words=128)
         # Pre-crash churn OUTSIDE the sweep window: garbage, then a
         # compacting GC, so the data tail is littered with stale images.
-        keep = jvm.pnew(node)
-        jvm.set_field(keep, "v", 0)
-        jvm.flush_reachable(keep)
-        jvm.set_root("keep", keep)
+        _anchor(jvm, node, 0, None)
         for i in range(GARBAGE):
             dead = jvm.pnew(node)
             jvm.set_field(dead, "v", 1000 + i)
             dead.close()
         jvm.persistent_gc()
-        return SimpleNamespace(tmp=tmp, jvm=jvm, node=node, obs=jvm.obs)
 
     def workload(ctx):
         jvm = ctx.jvm
         keep = jvm.get_root("keep")
         for i in range(1, ROUNDS + 1):
-            n = jvm.pnew(ctx.node)
-            jvm.set_field(n, "v", i)
-            jvm.set_field(n, "next", keep)
-            keep = n
-            jvm.flush_reachable(keep)
-            jvm.set_root("keep", keep)
+            keep = _anchor(jvm, ctx.node, i, keep)
         # An oversize array leaves the buffered path for a direct claim
         # mid-stream, then one more buffered node lands after it.
         jvm.pnew_array(jvm.vm.object_klass, 2 * BUF_WORDS)
-        tail = jvm.pnew(ctx.node)
-        jvm.set_field(tail, "v", ROUNDS + 1)
-        jvm.set_field(tail, "next", keep)
-        jvm.flush_reachable(tail)
-        jvm.set_root("keep", tail)
-
-    def recover(ctx, crashed):
-        ctx.jvm.crash()
-        jvm = Espresso(ctx.tmp / "heaps", config=_config())
-        jvm.load_heap("h")
-        return SimpleNamespace(jvm=jvm, heap=jvm.heaps.heap("h"),
-                               obs=jvm.obs)
+        _anchor(jvm, ctx.node, ROUNDS + 1, keep)
 
     def invariant(rctx, completed):
         jvm, heap = rctx.jvm, rctx.heap
         # The rooted chain is a contiguous committed prefix.
-        chain = []
-        cursor = jvm.get_root("keep")
-        while cursor is not None:
-            chain.append(jvm.get_field(cursor, "v"))
-            cursor = jvm.get_field(cursor, "next")
+        chain = _chain(jvm, jvm.get_root("keep"))
         assert chain == list(range(chain[0], -1, -1)), chain
         if completed:
             assert chain[0] == ROUNDS + 1, chain
@@ -286,30 +278,17 @@ def _alloc_buffer_harness() -> CrashSweepHarness:
         assert len(positive) == len(set(positive)), sorted(values)
         assert set(chain) <= set(values)
 
-    def fsck(rctx):
-        from repro.tools.fsck import fsck_heap
-        return fsck_heap(rctx.heap)
-
-    def teardown(ctx, rctx):
-        shutil.rmtree(ctx.tmp, ignore_errors=True)
-
-    return CrashSweepHarness(
-        "pjh_alloc_buffer",
-        setup=setup, workload=workload, recover=recover,
-        invariant=invariant, fsck=fsck, teardown=teardown,
-        devices=lambda ctx: [ctx.jvm.heaps.heap("h").device])
-
-
-_register(SweepSpec("pjh_alloc_buffer", "flush", _alloc_buffer_harness,
-                    fast_stride=11, fast_max_points=10))
+    return _pjh_sweep("pjh_alloc_buffer", "flush", heap="h",
+                      prepare=prepare, workload=workload,
+                      invariant=invariant,
+                      fast_stride=11, fast_max_points=10,
+                      alloc_buffer_words=BUF_WORDS)
 
 
 # ----------------------------------------------------------------------
 # H2 SQL engine (flush-boundary sweep over the WAL protocol)
 # ----------------------------------------------------------------------
-def _h2_harness() -> CrashSweepHarness:
-    from repro.h2.engine import Database
-
+def _h2_sql() -> Sweep:
     def expected_rows():
         rows = {i: f"v{i}" for i in range(6)}
         rows[2] = "updated"
@@ -335,7 +314,7 @@ def _h2_harness() -> CrashSweepHarness:
         db.execute("UPDATE t SET v = 'torn' WHERE k = 0")
         db.execute("COMMIT")
 
-    def recover(ctx, crashed):
+    def recover(ctx):
         obs = Observatory()
         return SimpleNamespace(db=ctx.db.crash(obs=obs), obs=obs)
 
@@ -364,24 +343,16 @@ def _h2_harness() -> CrashSweepHarness:
         db.execute("INSERT INTO t VALUES (999, 'post')")
         assert dict(db.execute("SELECT k, v FROM t").rows)[999] == "post"
 
-    return CrashSweepHarness(
-        "h2_sql",
-        setup=setup, workload=workload, recover=recover,
-        invariant=invariant,
-        devices=lambda ctx: [ctx.db.device])
-
-
-_register(SweepSpec("h2_sql", "flush", _h2_harness,
-                    fast_stride=17, fast_max_points=10))
+    return Sweep("h2_sql", bomb="flush", fast_stride=17, fast_max_points=10,
+                 setup=setup, workload=workload, recover=recover,
+                 invariant=invariant,
+                 devices=lambda ctx: [ctx.db.device])
 
 
 # ----------------------------------------------------------------------
-# pjhlib ACID collections (flush-boundary sweep, fsck after recovery)
+# pjhlib ACID collections (flush-boundary sweep)
 # ----------------------------------------------------------------------
-def _pjhlib_harness() -> CrashSweepHarness:
-    from repro.api import Espresso
-    from repro.pjhlib import PjhHashmap, PjhLong, PjhTransaction
-
+def _pjhlib() -> Sweep:
     def expected_final():
         model = {i: i * 10 for i in range(8)}
         for i in range(0, 8, 2):
@@ -390,18 +361,14 @@ def _pjhlib_harness() -> CrashSweepHarness:
         del model[5]
         return model
 
-    def setup():
-        tmp = Path(tempfile.mkdtemp(prefix="sweep-pjhlib-"))
-        jvm = Espresso(tmp / "heaps", observatory=Observatory(),
-                       gc_workers=GC_WORKERS)
+    def prepare(ctx):
+        jvm = ctx.jvm
         jvm.create_heap("kv", 2 * 1024 * 1024)
-        txn = PjhTransaction(jvm)
-        table = PjhHashmap(jvm, txn)
-        jvm.set_root("table", table.h)
-        jvm.set_root("txn_entries", txn._entries)
-        jvm.set_root("txn_meta", txn._meta)
-        return SimpleNamespace(tmp=tmp, jvm=jvm, txn=txn, table=table,
-                               obs=jvm.obs)
+        ctx.txn = PjhTransaction(jvm)
+        ctx.table = PjhHashmap(jvm, ctx.txn)
+        jvm.set_root("table", ctx.table.h)
+        jvm.set_root("txn_entries", ctx.txn._entries)
+        jvm.set_root("txn_meta", ctx.txn._meta)
 
     def workload(ctx):
         jvm, txn, table = ctx.jvm, ctx.txn, ctx.table
@@ -412,17 +379,12 @@ def _pjhlib_harness() -> CrashSweepHarness:
         table.remove_raw(3)
         table.remove_raw(5)
 
-    def recover(ctx, crashed):
-        ctx.jvm.crash()
-        jvm = Espresso(ctx.tmp / "heaps", observatory=Observatory(),
-                        gc_workers=GC_WORKERS)
-        jvm.load_heap("kv")
+    def reattach(ctx, rctx):
+        jvm = rctx.jvm
         txn = PjhTransaction.reattach(jvm, jvm.get_root("txn_entries"),
                                       jvm.get_root("txn_meta"))
         txn.recover()  # roll back any torn multi-slot operation
-        table = PjhHashmap(jvm, txn, handle=jvm.get_root("table"))
-        return SimpleNamespace(jvm=jvm, table=table,
-                               heap=jvm.heaps.heap("kv"), obs=jvm.obs)
+        rctx.table = PjhHashmap(jvm, txn, handle=jvm.get_root("table"))
 
     def invariant(rctx, completed):
         jvm, table = rctx.jvm, rctx.table
@@ -439,30 +401,16 @@ def _pjhlib_harness() -> CrashSweepHarness:
         if completed:
             assert seen == expected_final()
 
-    def fsck(rctx):
-        from repro.tools.fsck import fsck_heap
-        return fsck_heap(rctx.heap)
-
-    def teardown(ctx, rctx):
-        shutil.rmtree(ctx.tmp, ignore_errors=True)
-
-    return CrashSweepHarness(
-        "pjhlib",
-        setup=setup, workload=workload, recover=recover,
-        invariant=invariant, fsck=fsck, teardown=teardown,
-        devices=lambda ctx: [ctx.jvm.heaps.heap("kv").device])
-
-
-_register(SweepSpec("pjhlib", "flush", _pjhlib_harness,
-                    fast_stride=29, fast_max_points=10))
+    return _pjh_sweep("pjhlib", "flush", heap="kv",
+                      prepare=prepare, workload=workload,
+                      reattach=reattach, invariant=invariant,
+                      fast_stride=29, fast_max_points=10)
 
 
 # ----------------------------------------------------------------------
 # PCJ NVML undo-log transactions (flush-boundary sweep)
 # ----------------------------------------------------------------------
-def _pcj_harness() -> CrashSweepHarness:
-    from repro.pcj import MemoryPool, PersistentLong
-
+def _pcj_nvml() -> Sweep:
     ROUNDS = 6
 
     def setup():
@@ -484,7 +432,7 @@ def _pcj_harness() -> CrashSweepHarness:
             pool._tx_write(ctx.b.offset, i)
             pool.tx_commit()
 
-    def recover(ctx, crashed):
+    def recover(ctx):
         image = ctx.pool.crash_image()
         obs = Observatory()
         # MemoryPool.open runs recover(), replaying the undo log
@@ -494,7 +442,6 @@ def _pcj_harness() -> CrashSweepHarness:
     def invariant(rctx, completed):
         pool = rctx.pool
         assert not pool.in_transaction
-        from repro.pcj import PersistentLong
         a = PersistentLong.from_offset(pool, pool.get_root("a")).long_value()
         b = PersistentLong.from_offset(pool, pool.get_root("b")).long_value()
         assert a == b, (a, b)
@@ -502,36 +449,24 @@ def _pcj_harness() -> CrashSweepHarness:
         if completed:
             assert a == ROUNDS
 
-    return CrashSweepHarness(
-        "pcj_nvml",
-        setup=setup, workload=workload, recover=recover,
-        invariant=invariant,
-        devices=lambda ctx: [ctx.pool.device])
-
-
-_register(SweepSpec("pcj_nvml", "flush", _pcj_harness,
-                    fast_stride=7, fast_max_points=10))
+    return Sweep("pcj_nvml", bomb="flush", fast_stride=7, fast_max_points=10,
+                 setup=setup, workload=workload, recover=recover,
+                 invariant=invariant,
+                 devices=lambda ctx: [ctx.pool.device])
 
 
 # ----------------------------------------------------------------------
 # PJO commit path: dedup + field tracking on (flush-boundary sweep)
 # ----------------------------------------------------------------------
-def _pjo_harness() -> CrashSweepHarness:
-    from repro.api import Espresso
-    from repro.jpab.model import BasicPerson
-    from repro.pjo import PjoEntityManager
-
+def _pjo_commit() -> Sweep:
     PEOPLE = 3
     ROUNDS = 3
 
-    def setup():
-        tmp = Path(tempfile.mkdtemp(prefix="sweep-pjo-"))
-        jvm = Espresso(tmp / "heaps", observatory=Observatory(),
-                       gc_workers=GC_WORKERS)
-        jvm.create_heap("jpab", 4 * 1024 * 1024)
-        em = PjoEntityManager(jvm)  # dedup + field tracking are the defaults
-        em.create_schema([BasicPerson])
-        return SimpleNamespace(tmp=tmp, jvm=jvm, em=em, obs=jvm.obs)
+    def prepare(ctx):
+        ctx.jvm.create_heap("jpab", 4 * 1024 * 1024)
+        # dedup + field tracking are the defaults
+        ctx.em = PjoEntityManager(ctx.jvm)
+        ctx.em.create_schema([BasicPerson])
 
     def workload(ctx):
         em = ctx.em
@@ -551,18 +486,12 @@ def _pjo_harness() -> CrashSweepHarness:
                 person.phone = f"r{rnd}"
             tx.commit()
 
-    def recover(ctx, crashed):
-        ctx.jvm.crash()
-        jvm = Espresso(ctx.tmp / "heaps", observatory=Observatory(),
-                        gc_workers=GC_WORKERS)
-        jvm.load_heap("jpab")
-        em = PjoEntityManager(jvm)  # backend reattaches + recovers the log
-        return SimpleNamespace(jvm=jvm, em=em, heap=jvm.heaps.heap("jpab"),
-                               obs=jvm.obs)
+    def reattach(ctx, rctx):
+        # the backend reattaches + recovers the log
+        rctx.em = PjoEntityManager(rctx.jvm)
 
     def invariant(rctx, completed):
         em = rctx.em
-        from repro.jpab.model import BasicPerson
         people = [em.find(BasicPerson, i) for i in range(1, PEOPLE + 1)]
         present = [p for p in people if p is not None]
         # The initial persist of all three is one transaction: all or none.
@@ -578,28 +507,16 @@ def _pjo_harness() -> CrashSweepHarness:
         if completed:
             assert stamps == {f"r{ROUNDS}"}
 
-    def fsck(rctx):
-        from repro.tools.fsck import fsck_heap
-        return fsck_heap(rctx.heap)
-
-    def teardown(ctx, rctx):
-        shutil.rmtree(ctx.tmp, ignore_errors=True)
-
-    return CrashSweepHarness(
-        "pjo_commit",
-        setup=setup, workload=workload, recover=recover,
-        invariant=invariant, fsck=fsck, teardown=teardown,
-        devices=lambda ctx: [ctx.jvm.heaps.heap("jpab").device])
-
-
-_register(SweepSpec("pjo_commit", "flush", _pjo_harness,
-                    fast_stride=37, fast_max_points=8))
+    return _pjh_sweep("pjo_commit", "flush", heap="jpab",
+                      prepare=prepare, workload=workload,
+                      reattach=reattach, invariant=invariant,
+                      fast_stride=37, fast_max_points=8)
 
 
 # ----------------------------------------------------------------------
 # Mixed persist domains: PJH allocation + H2 WAL on separate devices
 # ----------------------------------------------------------------------
-def _mixed_harness() -> CrashSweepHarness:
+def _mixed_domains() -> Sweep:
     """Epoch coalescing must hold when two domains interleave.
 
     Each round anchors a new PJH node (flush_reachable + setRoot, its own
@@ -611,36 +528,22 @@ def _mixed_harness() -> CrashSweepHarness:
     cross-layer ordering (row *i* durable implies anchor *i* durable)
     catches coalescing that reorders work between the subsystems.
     """
-    from repro.api import Espresso
-    from repro.h2.engine import Database
-    from repro.runtime.klass import FieldKind, field
-
     ROUNDS = 5
 
-    def setup():
-        tmp = Path(tempfile.mkdtemp(prefix="sweep-mixed-"))
-        obs = Observatory()
-        jvm = Espresso(tmp / "heaps", observatory=obs, gc_workers=GC_WORKERS)
-        node = jvm.define_class("MixNode", [field("v", FieldKind.INT),
-                                            field("next", FieldKind.REF)])
+    def prepare(ctx):
+        jvm = ctx.jvm
+        ctx.node = jvm.define_class("MixNode", _NODE_FIELDS)
         jvm.create_heap("h", 256 * 1024, region_words=128)
         # One observatory spans both domains: the dump shows PJH anchor
         # spans interleaved with WAL commit spans in one timeline.
-        db = Database(size_words=1 << 18, clock=jvm.clock, obs=obs)
-        return SimpleNamespace(tmp=tmp, jvm=jvm, node=node, db=db, obs=obs)
+        ctx.db = Database(size_words=1 << 18, clock=jvm.clock, obs=ctx.obs)
 
     def workload(ctx):
         jvm, db = ctx.jvm, ctx.db
         db.execute("CREATE TABLE log (k BIGINT PRIMARY KEY, v VARCHAR)")
         keep = None
         for i in range(ROUNDS):
-            n = jvm.pnew(ctx.node)
-            jvm.set_field(n, "v", i)
-            if keep is not None:
-                jvm.set_field(n, "next", keep)
-            keep = n
-            jvm.flush_reachable(keep)
-            jvm.set_root("keep", keep)
+            keep = _anchor(jvm, ctx.node, i, keep)
             db.execute("INSERT INTO log VALUES (?, ?)", (i, f"v{i}"))
         # A multi-statement transaction at the end: atomic or absent.
         db.execute("BEGIN")
@@ -648,26 +551,19 @@ def _mixed_harness() -> CrashSweepHarness:
         db.execute("INSERT INTO log VALUES (100, 'tail')")
         db.execute("COMMIT")
 
-    def recover(ctx, crashed):
+    def reopen(ctx, open_session):
         ctx.jvm.crash()
-        obs = Observatory()
         # Reuse the shared clock so the recovered JVM and DB keep one
         # coherent timeline (db.crash() rebinds obs to the same clock).
-        jvm2 = Espresso(ctx.tmp / "heaps", clock=ctx.db.clock,
-                        observatory=obs, gc_workers=GC_WORKERS)
-        jvm2.load_heap("h")
-        return SimpleNamespace(jvm=jvm2, db=ctx.db.crash(obs=obs),
-                               heap=jvm2.heaps.heap("h"), obs=obs)
+        return open_session(ctx.tmp, clock=ctx.db.clock)
+
+    def reattach(ctx, rctx):
+        rctx.db = ctx.db.crash(obs=rctx.obs)
 
     def invariant(rctx, completed):
         jvm, db = rctx.jvm, rctx.db
         # PJH side: the rooted chain is a contiguous anchored suffix.
-        head = jvm.get_root("keep")
-        chain = []
-        cursor = head
-        while cursor is not None:
-            chain.append(jvm.get_field(cursor, "v"))
-            cursor = jvm.get_field(cursor, "next")
+        chain = _chain(jvm, jvm.get_root("keep"))
         if chain:
             assert chain == list(range(chain[0], -1, -1)), chain
         # H2 side: committed inserts form a prefix; the tx is atomic.
@@ -688,29 +584,18 @@ def _mixed_harness() -> CrashSweepHarness:
             assert chain and chain[0] == ROUNDS - 1, chain
             assert len(keys) == ROUNDS and 100 in rows, rows
 
-    def fsck(rctx):
-        from repro.tools.fsck import fsck_heap
-        return fsck_heap(rctx.heap)
-
-    def teardown(ctx, rctx):
-        shutil.rmtree(ctx.tmp, ignore_errors=True)
-
-    return CrashSweepHarness(
-        "mixed_domains",
-        setup=setup, workload=workload, recover=recover,
-        invariant=invariant, fsck=fsck, teardown=teardown,
-        devices=lambda ctx: [ctx.jvm.heaps.heap("h").device,
-                             ctx.db.device])
-
-
-_register(SweepSpec("mixed_domains", "flush", _mixed_harness,
-                    fast_stride=23, fast_max_points=10))
+    return _pjh_sweep("mixed_domains", "flush", heap="h",
+                      prepare=prepare, workload=workload, reopen=reopen,
+                      reattach=reattach, invariant=invariant,
+                      devices=lambda ctx: [ctx.jvm.heaps.heap("h").device,
+                                           ctx.db.device],
+                      fast_stride=23, fast_max_points=10)
 
 
 # ----------------------------------------------------------------------
 # Crash-transparent execution (failpoint sweep over the resume protocol)
 # ----------------------------------------------------------------------
-def _resume_harness() -> CrashSweepHarness:
+def _resume_task() -> Sweep:
     """Crash a resumable task at every ``resume.*`` protocol point.
 
     The workload is a two-task program (``build`` pushes a persistent
@@ -720,19 +605,13 @@ def _resume_harness() -> CrashSweepHarness:
     promise itself: after crash + restart + re-run, the heap's durable
     image is SHA-256-identical to the image an *uncrashed* run produces,
     and the task yields the same result.  The golden hash is computed
-    once per harness from a crash-free run with identical session setup.
+    once from a crash-free run of the sweep's own setup.
     """
-    import hashlib
-
-    from repro.api import Espresso, EspressoConfig
-    from repro.runtime.klass import FieldKind, field
-
     N = 5
     EXPECTED = sum(i * i for i in range(N))
 
     def _define(jvm):
-        jvm.define_class("ResumeNode", [field("v", FieldKind.INT),
-                                        field("next", FieldKind.REF)])
+        jvm.define_class("ResumeNode", _NODE_FIELDS)
 
     def _mk(s, i, prev):
         node = s.pnew("ResumeNode")
@@ -742,7 +621,10 @@ def _resume_harness() -> CrashSweepHarness:
         s.flush_reachable(node)
         return node
 
-    def _register_tasks(jvm):
+    def prepare(ctx):
+        jvm = ctx.jvm
+        _define(jvm)
+
         @jvm.register_task("build")
         def build(task, s, n):
             prev = None
@@ -757,84 +639,49 @@ def _resume_harness() -> CrashSweepHarness:
         def weigh(task, s, i):
             return task.step(lambda: i * i)
 
-    def _session(tmp):
-        cfg = EspressoConfig(resumable=True, observatory=Observatory(),
-                             gc_workers=GC_WORKERS)
-        jvm = Espresso(tmp / "heaps", config=cfg)
-        _define(jvm)
-        _register_tasks(jvm)
         jvm.create_heap("h", 512 * 1024)
-        return jvm
 
-    def _image_hash(jvm):
-        device = jvm.heaps.heap("h").device
-        return hashlib.sha256(device.durable_image().tobytes()).hexdigest()
-
-    golden = {}
-
-    def _golden_hash():
-        if "hash" not in golden:
-            tmp = Path(tempfile.mkdtemp(prefix="sweep-resume-golden-"))
-            try:
-                jvm = jvm0 = _session(tmp)
-                assert jvm.resumable_task("build").run(N) == EXPECTED
-                golden["hash"] = _image_hash(jvm)
-            finally:
-                jvm0.shutdown()
-                shutil.rmtree(tmp, ignore_errors=True)
-        return golden["hash"]
-
-    def setup():
-        tmp = Path(tempfile.mkdtemp(prefix="sweep-resume-"))
-        jvm = _session(tmp)
-        return SimpleNamespace(tmp=tmp, jvm=jvm, obs=jvm.obs)
+    @functools.cache
+    def golden_hash():
+        ctx = sweep.setup()
+        try:
+            assert ctx.jvm.resumable_task("build").run(N) == EXPECTED
+            return _image_hash(ctx.jvm.heaps.heap("h"))
+        finally:
+            ctx.jvm.shutdown()
+            sweep.teardown(ctx, None)
 
     def workload(ctx):
         ctx.jvm.resumable_task("build").run(N)
 
-    def recover(ctx, crashed):
+    def reopen(ctx, open_session):
         # restart(crash=True): durable image saved, fresh VM, same config
         # (the task registry rides along by reference) — a restarted JVM
         # must redefine its classes, exactly like a real one reloading
         # them.
-        jvm2 = ctx.jvm.restart(crash=True)
-        _define(jvm2)
-        jvm2.load_heap("h")
-        result = jvm2.resumable_task("build").run(N)
-        return SimpleNamespace(jvm=jvm2, result=result,
-                               heap=jvm2.heaps.heap("h"), obs=jvm2.obs)
+        jvm = ctx.jvm.restart(crash=True)
+        _define(jvm)
+        return jvm
+
+    def reattach(ctx, rctx):
+        rctx.result = rctx.jvm.resumable_task("build").run(N)
 
     def invariant(rctx, completed):
         assert rctx.result == EXPECTED, rctx.result
-        resumed = _image_hash(rctx.jvm)
-        assert resumed == _golden_hash(), (
+        assert _image_hash(rctx.heap) == golden_hash(), (
             "resumed durable image diverged from the uncrashed run's")
 
-    def fsck(rctx):
-        from repro.tools.fsck import fsck_heap
-        report = fsck_heap(rctx.heap)
-        assert report.frames_clean, report.frame_errors
-        return report
-
-    def teardown(ctx, rctx):
-        shutil.rmtree(ctx.tmp, ignore_errors=True)
-
-    return CrashSweepHarness(
-        "resume_task",
-        setup=setup, workload=workload, recover=recover,
-        invariant=invariant, fsck=fsck, teardown=teardown,
-        devices=lambda ctx: [ctx.jvm.heaps.heap("h").device],
-        registry=lambda ctx: ctx.jvm.vm.failpoints)
-
-
-_register(SweepSpec("resume_task", "failpoint", _resume_harness,
-                    fast_stride=11, fast_max_points=10))
+    sweep = _pjh_sweep("resume_task", "failpoint", heap="h",
+                       prepare=prepare, workload=workload, reopen=reopen,
+                       reattach=reattach, invariant=invariant,
+                       fast_stride=11, fast_max_points=10, resumable=True)
+    return sweep
 
 
 # ----------------------------------------------------------------------
 # Fleet fail-over: one shard crashed mid-traffic, siblings keep serving
 # ----------------------------------------------------------------------
-def _fleet_harness() -> CrashSweepHarness:
+def _fleet_failover() -> Sweep:
     """Flush-boundary sweep of a 3-shard fleet, bombing ONE shard.
 
     Only the victim shard's device is instrumented, so every injection
@@ -848,20 +695,9 @@ def _fleet_harness() -> CrashSweepHarness:
     directory is byte-identical to an uncrashed fleet's — fail-over
     writes zero directory flushes by design.
     """
-    import hashlib
-    import zlib
-
-    from repro.errors import ShardDownError
-    from repro.fleet.directory import DIRECTORY_HEAP, shard_heap_name
-    from repro.fleet.router import FleetConfig, FleetRouter
-
     SHARDS = 3
     VICTIM = 0
     ROUNDS = 3
-
-    def _config():
-        return FleetConfig(shards=SHARDS, shard_size_bytes=256 * 1024,
-                           max_in_flight=32, gc_workers=GC_WORKERS)
 
     def _sessions():
         """Two session ids per shard, in deterministic order."""
@@ -876,29 +712,28 @@ def _fleet_harness() -> CrashSweepHarness:
         return per_shard
 
     def _directory_image_hash(fleet):
-        heap = fleet.directory_jvm.heaps.heap(DIRECTORY_HEAP)
-        return hashlib.sha256(heap.device.durable_image().tobytes()) \
-            .hexdigest()
-
-    golden = {}
-
-    def _golden_hash():
-        """Directory image of an uncrashed fleet with identical setup."""
-        if "hash" not in golden:
-            tmp = Path(tempfile.mkdtemp(prefix="sweep-fleet-golden-"))
-            try:
-                fleet = FleetRouter.create(tmp / "fleet", config=_config())
-                golden["hash"] = _directory_image_hash(fleet)
-            finally:
-                shutil.rmtree(tmp, ignore_errors=True)
-        return golden["hash"]
+        return _image_hash(fleet.directory_jvm.heaps.heap(DIRECTORY_HEAP))
 
     def setup():
         tmp = Path(tempfile.mkdtemp(prefix="sweep-fleet-"))
-        fleet = FleetRouter.create(tmp / "fleet", config=_config())
+        fleet = FleetRouter.create(tmp / "fleet", config=FleetConfig(
+            shards=SHARDS, shard_size_bytes=256 * 1024, max_in_flight=32,
+            gc_workers=GC_WORKERS))
         return SimpleNamespace(tmp=tmp, fleet=fleet, sessions=_sessions(),
                                committed={}, inflight={},
                                obs=fleet.shards[VICTIM].jvm.obs)
+
+    def teardown(ctx, rctx):
+        shutil.rmtree(ctx.tmp, ignore_errors=True)
+
+    @functools.cache
+    def golden_hash():
+        """Directory image of an uncrashed fleet with identical setup."""
+        ctx = setup()
+        try:
+            return _directory_image_hash(ctx.fleet)
+        finally:
+            teardown(ctx, None)
 
     def workload(ctx):
         fleet = ctx.fleet
@@ -913,7 +748,7 @@ def _fleet_harness() -> CrashSweepHarness:
             ctx.committed.update(ctx.inflight)
             ctx.inflight = {}
 
-    def recover(ctx, crashed):
+    def recover(ctx):
         fleet = ctx.fleet
         fleet.crash_shard(VICTIM)
         # Survivors keep serving while the victim is down: reads of
@@ -970,11 +805,10 @@ def _fleet_harness() -> CrashSweepHarness:
         # Zero directory writes during traffic, crash and fail-over: the
         # durable directory image matches an uncrashed fleet's, byte for
         # byte.
-        assert _directory_image_hash(fleet) == _golden_hash(), (
+        assert _directory_image_hash(fleet) == golden_hash(), (
             "fleet directory image diverged from the uncrashed run's")
 
     def fsck(rctx):
-        from repro.tools.fsck import fsck_heap
         fleet = rctx.fleet
         report = fsck_heap(
             fleet.directory_jvm.heaps.heap(DIRECTORY_HEAP))
@@ -985,76 +819,60 @@ def _fleet_harness() -> CrashSweepHarness:
             assert report.clean, (shard.index, report.errors)
         return report  # the last shard's; all were asserted above
 
-    def teardown(ctx, rctx):
-        shutil.rmtree(ctx.tmp, ignore_errors=True)
-
     def victim_device(ctx):
         heap = ctx.fleet.shards[VICTIM].jvm.heaps.heap(
             shard_heap_name(VICTIM))
         return [heap.device]
 
-    return CrashSweepHarness(
-        "fleet_failover",
-        setup=setup, workload=workload, recover=recover,
-        invariant=invariant, fsck=fsck, teardown=teardown,
-        devices=victim_device)
-
-
-_register(SweepSpec("fleet_failover", "flush", _fleet_harness,
-                    fast_stride=19, fast_max_points=8))
+    return Sweep("fleet_failover", bomb="flush",
+                 fast_stride=19, fast_max_points=8,
+                 setup=setup, workload=workload, recover=recover,
+                 invariant=invariant, fsck=fsck, teardown=teardown,
+                 devices=victim_device)
 
 
 # ----------------------------------------------------------------------
-# Concurrent mutator gang on the lock-free durable map (flush sweep):
-# crashing after the N-th clflush lands at an arbitrary point of the
-# seeded interleaving, so every boundary is a different cut through the
-# contended multi-mutator schedule.
+# Concurrent mutator gang on the lock-free durable map (flush sweep)
 # ----------------------------------------------------------------------
-def _concurrent_kv_harness() -> CrashSweepHarness:
-    from repro.api import Espresso
-    from repro.workloads.concurrent_kv import ConcurrentKvWorkload
+def _concurrent_kv() -> Sweep:
+    """A 3-mutator contended KV workload, crashed at every flush boundary.
 
+    Crashing after the N-th clflush lands at an arbitrary point of the
+    seeded interleaving, so every boundary is a different cut through the
+    contended multi-mutator schedule.  The recovered map must pass its
+    protocol audit, satisfy durable linearizability against the gang's
+    recorded history, and fsck clean.
+    """
     MUTATORS = 3
 
-    def setup():
-        tmp = Path(tempfile.mkdtemp(prefix="sweep-ckv-"))
-        jvm = Espresso(tmp / "heaps", observatory=Observatory(),
-                       gc_workers=GC_WORKERS, mutators=MUTATORS)
-        jvm.create_heap("kv", 2 * 1024 * 1024)
-        workload = ConcurrentKvWorkload(jvm, mutators=MUTATORS,
-                                        ops_per_mutator=5, key_space=3,
-                                        seed=7, buckets=4)
-        return SimpleNamespace(tmp=tmp, jvm=jvm, workload=workload,
-                               obs=jvm.obs)
+    def prepare(ctx):
+        ctx.jvm.create_heap("kv", 2 * 1024 * 1024)
+        ctx.workload = ConcurrentKvWorkload(ctx.jvm, mutators=MUTATORS,
+                                            ops_per_mutator=5, key_space=3,
+                                            seed=7, buckets=4)
 
-    def workload(ctx):
-        ctx.workload.run()
-
-    def recover(ctx, crashed):
-        ctx.jvm.crash()
-        jvm = Espresso(ctx.tmp / "heaps", observatory=Observatory(),
-                       gc_workers=GC_WORKERS, mutators=MUTATORS)
-        jvm.load_heap("kv")
-        return SimpleNamespace(jvm=jvm, workload=ctx.workload,
-                               heap=jvm.heaps.heap("kv"), obs=jvm.obs)
+    def reattach(ctx, rctx):
+        rctx.workload = ctx.workload  # it recorded the gang's history
 
     def invariant(rctx, completed):
         problems = rctx.workload.check_after_recovery(rctx.jvm, completed)
         assert not problems, problems
 
-    def fsck(rctx):
-        from repro.tools.fsck import fsck_heap
-        return fsck_heap(rctx.heap)
-
-    def teardown(ctx, rctx):
-        shutil.rmtree(ctx.tmp, ignore_errors=True)
-
-    return CrashSweepHarness(
-        "concurrent_kv",
-        setup=setup, workload=workload, recover=recover,
-        invariant=invariant, fsck=fsck, teardown=teardown,
-        devices=lambda ctx: [ctx.jvm.heaps.heap("kv").device])
+    return _pjh_sweep("concurrent_kv", "flush", heap="kv",
+                      prepare=prepare,
+                      workload=lambda ctx: ctx.workload.run(),
+                      reattach=reattach, invariant=invariant,
+                      fast_stride=23, fast_max_points=8,
+                      mutators=MUTATORS)
 
 
-_register(SweepSpec("concurrent_kv", "flush", _concurrent_kv_harness,
-                    fast_stride=23, fast_max_points=8))
+SWEEPS: Dict[str, Sweep] = {sweep.name: sweep for sweep in (
+    _pjh_alloc_gc(), _pjh_alloc_buffer(), _h2_sql(), _pjhlib(), _pcj_nvml(),
+    _pjo_commit(), _mixed_domains(), _resume_task(), _fleet_failover(),
+    _concurrent_kv())}
+
+
+def run_sweep(name: str, fault_mode: str = FaultMode.ATOMIC, *,
+              exhaustive: bool = True, seed: int = 0) -> SweepReport:
+    """Run one registered sweep; ``exhaustive=False`` uses the fast stride."""
+    return SWEEPS[name].run(fault_mode, exhaustive=exhaustive, seed=seed)

@@ -28,7 +28,13 @@ Determinism is the design constraint, not an accident:
 The pool is deliberately dumb about *what* runs: the compaction engine,
 the recovery driver and the zeroing scan hand it callables.  ``workers=1``
 callers bypass the pool entirely and keep the exact serial code path, so
-single-worker timing stays bit-identical with the pre-pool code.
+single-worker timing stays bit-identical with the pre-pool code.  That is
+why ``vm.gang()`` still returns ``None`` at width 1, and it is not a fork
+to collapse: a one-worker pool walks then scans and pre-reads region bits,
+which presents a different line order to the simulated CPU cache — a
+prototype moved the ledger's ``gc_recover/sim_ms`` 14.966 → 17.099 ms
+(+219 NVM reads) with every test green.  The serial path is the reference
+(DESIGN.md §12).
 """
 
 from __future__ import annotations

@@ -1,16 +1,16 @@
-"""Unit tests for the generic crash-sweep harness.
+"""Unit tests for the generic crash :class:`Sweep`.
 
 The subject is a toy two-word protocol over a bare NvmDevice: word 0 and
 word 64 (different cache lines) are updated together under a tiny
 log-free "both-or-detect" discipline, which is intentionally broken so the
-tests can watch the harness catch it.
+tests can watch the sweep catch it.
 """
 
 from types import SimpleNamespace
 
 import pytest
 
-from repro.faults import CrashSweepHarness, SweepReport
+from repro.faults import Sweep, SweepReport
 from repro.nvm.clock import Clock
 from repro.nvm.device import FaultMode, NvmDevice
 from repro.nvm.failpoints import FailpointRegistry
@@ -18,8 +18,9 @@ from repro.nvm.failpoints import FailpointRegistry
 A, B = 0, 64  # two words on different cache lines
 
 
-def _correct_harness(rounds=4, teardowns=None, fsck=None):
-    """A harness over a fenced two-word protocol: invariant always holds."""
+def _correct_sweep(bomb="flush", rounds=4, teardowns=None, fsck=None,
+                   **fast):
+    """A sweep over a fenced two-word protocol: invariant always holds."""
 
     def setup():
         return SimpleNamespace(device=NvmDevice(256, Clock()),
@@ -37,7 +38,7 @@ def _correct_harness(rounds=4, teardowns=None, fsck=None):
             d.fence()
             ctx.registry.hit("toy.b_persisted")
 
-    def recover(ctx, crashed):
+    def recover(ctx):
         ctx.device.crash()
         return ctx
 
@@ -48,8 +49,8 @@ def _correct_harness(rounds=4, teardowns=None, fsck=None):
         if completed:
             assert a == b == rounds
 
-    return CrashSweepHarness(
-        "toy",
+    return Sweep(
+        "toy", bomb=bomb, **fast,
         setup=setup, workload=workload, recover=recover,
         invariant=invariant, fsck=fsck,
         teardown=(lambda ctx, rctx: teardowns.append((ctx, rctx)))
@@ -60,7 +61,7 @@ def _correct_harness(rounds=4, teardowns=None, fsck=None):
 
 class TestFlushSweep:
     def test_exhausts_and_reports(self):
-        report = _correct_harness().sweep_flush_boundaries()
+        report = _correct_sweep().run()
         assert isinstance(report, SweepReport)
         assert report.exhausted
         # 8 flushes total: 8 crash points, then one clean completion.
@@ -70,19 +71,19 @@ class TestFlushSweep:
         assert "exhausted" in report.summary()
 
     def test_max_points_caps_the_walk(self):
-        report = _correct_harness().sweep_flush_boundaries(max_points=3)
+        report = _correct_sweep(fast_max_points=3).run(exhaustive=False)
         assert len(report.iterations) == 3
         assert not report.exhausted
         assert "capped" in report.summary()
 
     def test_stride_skips_points(self):
-        report = _correct_harness().sweep_flush_boundaries(stride=3)
+        report = _correct_sweep(fast_stride=3).run(exhaustive=False)
         assert [it.point for it in report.iterations] == [1, 4, 7, 10]
 
     def test_clflush_restored_after_each_iteration(self):
         teardowns = []
-        harness = _correct_harness(teardowns=teardowns)
-        harness.sweep_flush_boundaries(max_points=2)
+        sweep = _correct_sweep(teardowns=teardowns, fast_max_points=2)
+        sweep.run(exhaustive=False)
         # The bomb restores the real method on exit: no instance-level
         # wrapper may survive an iteration.
         for ctx, _rctx in teardowns:
@@ -101,37 +102,38 @@ class TestFlushSweep:
                 d.clflush(A)
                 d.fence()
 
-        def recover(ctx, crashed):
+        def recover(ctx):
             ctx.device.crash()
             return ctx
 
         def invariant(rctx, completed):
             assert rctx.device.read(A) == rctx.device.read(B)
 
-        harness = CrashSweepHarness(
-            "broken", setup=setup, workload=workload, recover=recover,
-            invariant=invariant, devices=lambda ctx: [ctx.device])
+        sweep = Sweep(
+            "broken", bomb="flush", setup=setup, workload=workload,
+            recover=recover, invariant=invariant,
+            devices=lambda ctx: [ctx.device])
         with pytest.raises(AssertionError):
-            harness.sweep_flush_boundaries(FaultMode.ATOMIC)
+            sweep.run(FaultMode.ATOMIC)
 
 
 class TestFailpointSweep:
     def test_global_sweep_exhausts(self):
-        report = _correct_harness(rounds=3).sweep_global_hits()
+        report = _correct_sweep("failpoint", rounds=3).run()
         assert report.exhausted
         assert report.crash_points == 6  # 2 sites x 3 rounds
         assert report.strategy == "failpoint-global"
 
     def test_site_sweep_only_counts_one_site(self):
-        report = _correct_harness(rounds=3).sweep_site("toy.b_persisted")
+        report = _correct_sweep("failpoint", rounds=3).run_site(
+            "toy.b_persisted")
         assert report.exhausted
         assert report.crash_points == 3
         assert report.strategy == "failpoint-site:toy.b_persisted"
 
     def test_registry_disarmed_after_each_iteration(self):
         teardowns = []
-        harness = _correct_harness(rounds=2, teardowns=teardowns)
-        harness.sweep_global_hits()
+        _correct_sweep("failpoint", rounds=2, teardowns=teardowns).run()
         for ctx, _rctx in teardowns:
             assert not ctx.registry._armed  # finally-clause cleared it
 
@@ -139,7 +141,7 @@ class TestFailpointSweep:
 class TestCallbacks:
     def test_teardown_runs_for_every_iteration(self):
         teardowns = []
-        _correct_harness(rounds=2, teardowns=teardowns).sweep_flush_boundaries()
+        _correct_sweep(rounds=2, teardowns=teardowns).run()
         assert len(teardowns) == 5  # 4 crash points + 1 completion
         # Crashing iterations still got a recovered context.
         assert all(rctx is not None for _, rctx in teardowns)
@@ -150,10 +152,10 @@ class TestCallbacks:
         def bad_invariant(rctx, completed):
             raise AssertionError("always wrong")
 
-        harness = _correct_harness(rounds=2, teardowns=teardowns)
-        harness.invariant = bad_invariant
+        sweep = _correct_sweep(rounds=2, teardowns=teardowns)
+        sweep.invariant = bad_invariant
         with pytest.raises(AssertionError):
-            harness.sweep_flush_boundaries()
+            sweep.run()
         assert len(teardowns) == 1
         # Recovery ran, the invariant blew up afterwards.
         assert teardowns[0][1] is not None
@@ -162,41 +164,44 @@ class TestCallbacks:
         def dirty_fsck(rctx):
             return SimpleNamespace(clean=False, errors=["boom"])
 
-        harness = _correct_harness(fsck=dirty_fsck)
+        sweep = _correct_sweep(fsck=dirty_fsck)
         with pytest.raises(AssertionError, match="fsck dirty"):
-            harness.sweep_flush_boundaries()
+            sweep.run()
 
     def test_clean_fsck_recorded_on_iterations(self):
         def clean_fsck(rctx):
             return SimpleNamespace(clean=True, errors=[])
 
-        report = _correct_harness(rounds=2,
-                                  fsck=clean_fsck).sweep_flush_boundaries()
+        report = _correct_sweep(rounds=2, fsck=clean_fsck).run()
         assert all(it.fsck_clean for it in report.iterations)
 
     def test_unknown_fault_mode_rejected(self):
         with pytest.raises(ValueError, match="fault mode"):
-            _correct_harness().sweep_flush_boundaries("lava")
+            _correct_sweep().run("lava")
+
+    def test_unknown_bomb_kind_rejected(self):
+        with pytest.raises(ValueError, match="bomb kind"):
+            _correct_sweep(bomb="meteor")
 
 
 class TestBackstop:
     """Hitting DEFAULT_MAX_POINTS without completion is an error, not a
-    quietly "capped" report — an explicit ``max_points`` opts into partial
-    coverage, the default backstop does not."""
+    quietly "capped" report — the fast cap opts into partial coverage, the
+    default backstop does not."""
 
     def test_default_cap_raises_when_workload_never_completes(self,
                                                               monkeypatch):
         import repro.faults.harness as harness_mod
         monkeypatch.setattr(harness_mod, "DEFAULT_MAX_POINTS", 3)
         with pytest.raises(RuntimeError, match="backstop"):
-            _correct_harness(rounds=100).sweep_flush_boundaries()
+            _correct_sweep(rounds=100).run()
 
     def test_explicit_max_points_still_returns_capped_report(self,
                                                              monkeypatch):
         import repro.faults.harness as harness_mod
         monkeypatch.setattr(harness_mod, "DEFAULT_MAX_POINTS", 3)
-        report = _correct_harness(rounds=100).sweep_flush_boundaries(
-            max_points=3)
+        report = _correct_sweep(rounds=100, fast_max_points=3).run(
+            exhaustive=False)
         assert len(report.iterations) == 3
         assert not report.exhausted
         assert "capped" in report.summary()
@@ -205,7 +210,7 @@ class TestBackstop:
         import repro.faults.harness as harness_mod
         # 2 rounds = 4 flushes: exhausts on iteration 5, inside the cap.
         monkeypatch.setattr(harness_mod, "DEFAULT_MAX_POINTS", 8)
-        report = _correct_harness(rounds=2).sweep_flush_boundaries()
+        report = _correct_sweep(rounds=2).run()
         assert report.exhausted
 
 
@@ -213,7 +218,7 @@ class TestTimelineDump:
     """A failing check ships the traced contexts' span timelines."""
 
     @staticmethod
-    def _traced_harness(invariant, observatory=None):
+    def _traced_sweep(invariant, **fast):
         from repro.obs import Observatory
 
         def setup():
@@ -230,24 +235,24 @@ class TestTimelineDump:
                     d.clflush(A)
                     d.fence()
 
-        def recover(ctx, crashed):
+        def recover(ctx):
             ctx.device.crash()
             with ctx.obs.span("toy.recover"):
                 ctx.clock.charge(1)
             return ctx
 
-        return CrashSweepHarness(
-            "traced-toy", setup=setup, workload=workload, recover=recover,
-            invariant=invariant, devices=lambda ctx: [ctx.device],
-            observatory=observatory)
+        return Sweep(
+            "traced-toy", bomb="flush", **fast,
+            setup=setup, workload=workload, recover=recover,
+            invariant=invariant, devices=lambda ctx: [ctx.device])
 
     def test_failure_includes_timelines(self):
         def bad_invariant(rctx, completed):
             raise AssertionError("wrong state")
 
-        harness = self._traced_harness(bad_invariant)
+        sweep = self._traced_sweep(bad_invariant)
         with pytest.raises(AssertionError) as excinfo:
-            harness.sweep_flush_boundaries()
+            sweep.run()
         message = str(excinfo.value)
         assert "wrong state" in message
         assert "crashed context timeline" in message
@@ -255,36 +260,27 @@ class TestTimelineDump:
         assert "toy.recover" in message
 
     def test_passing_sweep_has_no_dump_overhead(self):
-        report = self._traced_harness(
-            lambda rctx, completed: None).sweep_flush_boundaries()
+        report = self._traced_sweep(lambda rctx, completed: None).run()
         assert report.exhausted
 
     def test_untraced_context_fails_plainly(self):
         def bad_invariant(rctx, completed):
             raise AssertionError("plain failure")
 
-        harness = _correct_harness(rounds=2)
-        harness.invariant = bad_invariant
+        sweep = _correct_sweep(rounds=2)
+        sweep.invariant = bad_invariant
         with pytest.raises(AssertionError) as excinfo:
-            harness.sweep_flush_boundaries()
+            sweep.run()
         assert "timeline" not in str(excinfo.value)
 
-    def test_observatory_callback_overrides_ctx_attr(self):
-        def bad_invariant(rctx, completed):
-            raise AssertionError("nope")
-
-        harness = self._traced_harness(
-            bad_invariant, observatory=lambda ctx: ctx.obs)
-        with pytest.raises(AssertionError, match="crashed context timeline"):
-            harness.sweep_flush_boundaries()
-
     def test_simulated_crash_from_recovery_not_wrapped(self):
-        def recover(ctx, crashed):
+        def recover(ctx):
             from repro.errors import SimulatedCrash
             raise SimulatedCrash("recovery hit the bomb")
 
-        harness = self._traced_harness(lambda rctx, completed: None)
-        harness.recover = recover
+        sweep = self._traced_sweep(lambda rctx, completed: None,
+                                   fast_max_points=1)
+        sweep.recover = recover
         from repro.errors import SimulatedCrash
         with pytest.raises(SimulatedCrash):
-            harness.sweep_flush_boundaries(max_points=1)
+            sweep.run(exhaustive=False)
