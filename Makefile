@@ -3,14 +3,24 @@ export PYTHONPATH := src
 
 .PHONY: check test test-ledger sweep sweep-fast sweep-pytest fsck analyze \
 	analyze-fast lint-persist lint-time obs-report fleet-smoke \
-	concurrent-smoke elision-report bench bench-traced bench-compare
+	concurrent-smoke elision-report experiments bench bench-traced \
+	bench-compare
 
 # The CI gate: the full static analyzer, the tier-1 suite, a strided
 # smoke pass of every crash sweep (including the fleet fail-over and
 # concurrent-gang layers), the end-to-end fleet and gang smokes, the
-# flush-elision gates, then the perf ledger's own tests.
+# flush-elision gates, every paper experiment at its documented size,
+# then the perf ledger's own tests.
 check: analyze test sweep-fast fleet-smoke concurrent-smoke elision-report \
-	test-ledger
+	experiments test-ledger
+
+# Every paper experiment (repro.bench.__main__.EXPERIMENTS) at full size,
+# ~70 s: prints each table and checks each shape claim, so a figure that
+# cannot run at the size EXPERIMENTS.md documents fails the gate.  Tier-1
+# checks the same claims at CI size.  One experiment: `python -m
+# repro.bench fig15`; add `--json DIR` for BENCH_<name>.json files.
+experiments:
+	$(PYTHON) -m repro.bench
 
 # Per-bench clflush/sfence deltas for the allocation buffers + flush-
 # elision certificate (DESIGN.md §17): re-runs the fig17 and TPC-C
@@ -88,7 +98,7 @@ lint-time:
 
 # Run the traced fig17 bench, then render its obs section as tables.
 obs-report:
-	$(PYTHON) -m repro.bench.fig17_basictest_breakdown
+	$(PYTHON) -m repro.bench fig17 --json .
 	$(PYTHON) -m repro.obs.report BENCH_fig17.json
 
 # The perf ledger (bench-ledger/README.md): six oracle-checked workloads,

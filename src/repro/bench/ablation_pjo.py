@@ -9,15 +9,14 @@ and on post-commit memory/read behaviour (dedup).
 
 from __future__ import annotations
 
-import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Dict
 
 from repro.jpab import BASIC_TEST, CrudDriver, make_pjo_em
 from repro.nvm.clock import Clock
 
-from repro.bench.harness import format_table
+from repro.bench.harness import Experiment, format_table
 
 VARIANTS = [
     ("tracking+dedup", True, True),
@@ -39,13 +38,12 @@ class AblationResult:
                 / self.throughput["dedup only"]["Update"])
 
 
-def run(count: int = 60, heap_dir: Path | None = None) -> AblationResult:
-    root = heap_dir if heap_dir is not None else Path(tempfile.mkdtemp())
+def run(count: int, heap_dir: Path) -> AblationResult:
     throughput: Dict[str, Dict[str, float]] = {}
     for name, tracking, dedup in VARIANTS:
         clock = Clock()
         em = make_pjo_em(clock, BASIC_TEST.entities,
-                         root / name.replace(" ", "_").replace("+", "_"),
+                         heap_dir / name.replace(" ", "_").replace("+", "_"),
                          field_tracking=tracking, deduplication=dedup)
         driver = CrudDriver(em, BASIC_TEST, count)
         results: Dict[str, float] = {}
@@ -58,21 +56,29 @@ def run(count: int = 60, heap_dir: Path | None = None) -> AblationResult:
     return AblationResult(count=count, throughput=throughput)
 
 
-def main(count: int = 60) -> AblationResult:
-    result = run(count)
+def table(result: AblationResult) -> str:
     rows = []
     for name, _t, _d in VARIANTS:
         ops = result.throughput[name]
         rows.append((name, f"{ops['Create']:.1f}", f"{ops['Retrieve']:.1f}",
                      f"{ops['Update']:.1f}", f"{ops['Delete']:.1f}"))
-    print(format_table(
+    return format_table(
         ["PJO variant", "Create", "Retrieve", "Update", "Delete"],
         rows,
         title=(f"Ablation — PJO optimisations (ops/ms, JPAB BasicTest, "
                f"{result.count} entities); field tracking gains "
-               f"{result.update_gain():.2f}x on Update")))
-    return result
+               f"{result.update_gain():.2f}x on Update"))
 
 
-if __name__ == "__main__":
-    main()
+def check(result: AblationResult) -> None:
+    assert result.update_gain() > 1.2, \
+        "§5: field-level tracking pays off on updates"
+    assert result.throughput["tracking+dedup"]["Update"] \
+        > result.throughput["neither"]["Update"], \
+        "§5: the fully optimised variant beats the bare one on updates"
+
+
+EXPERIMENT = Experiment(
+    name="ablation_pjo", title="Ablation — PJO field tracking and dedup",
+    run=run, full={"count": 60}, ci={"count": 30},
+    table=table, check=check, payload=asdict)

@@ -12,18 +12,15 @@ hammering them.
 
 The ≥3x acceptance line mirrors the fleet bench: an 8-mutator gang must
 clear 3x the single-mutator throughput on the identical op budget.
-
-Emits ``BENCH_concurrent.json`` through the shared bench envelope.
 """
 
 from __future__ import annotations
 
-import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import List, Sequence
+from typing import Dict, List, Sequence
 
-from repro.bench.harness import format_table, write_bench_json
+from repro.bench.harness import Experiment, format_table
 
 GANG_WIDTHS = (1, 2, 4, 8)
 TOTAL_OPS = 96
@@ -53,7 +50,7 @@ class ConcurrentBenchResult:
         return self.rows[-1].speedup
 
 
-def run_scaling(base_dir, widths: Sequence[int] = GANG_WIDTHS,
+def run_scaling(heap_dir: Path, widths: Sequence[int] = GANG_WIDTHS,
                 total_ops: int = TOTAL_OPS,
                 key_space: int = KEY_SPACE,
                 seed: int = SEED) -> List[GangRow]:
@@ -61,11 +58,10 @@ def run_scaling(base_dir, widths: Sequence[int] = GANG_WIDTHS,
     from repro.api import Espresso
     from repro.workloads.concurrent_kv import ConcurrentKvWorkload
 
-    base_dir = Path(base_dir)
     rows: List[GangRow] = []
     baseline = None
     for width in widths:
-        jvm = Espresso(base_dir / f"gang-{width}", mutators=width)
+        jvm = Espresso(heap_dir / f"gang-{width}", mutators=width)
         jvm.create_heap("kv", 4 * 1024 * 1024)
         workload = ConcurrentKvWorkload(
             jvm, mutators=width, ops_per_mutator=total_ops // width,
@@ -87,50 +83,46 @@ def run_scaling(base_dir, widths: Sequence[int] = GANG_WIDTHS,
     return rows
 
 
-def run(base_dir, widths: Sequence[int] = GANG_WIDTHS,
+def run(heap_dir: Path, widths: Sequence[int] = GANG_WIDTHS,
         total_ops: int = TOTAL_OPS,
         key_space: int = KEY_SPACE) -> ConcurrentBenchResult:
-    rows = run_scaling(base_dir, widths, total_ops, key_space)
+    rows = run_scaling(heap_dir, widths, total_ops, key_space)
     return ConcurrentBenchResult(rows=rows, total_ops=total_ops,
                                  key_space=key_space)
 
 
-def emit(result: ConcurrentBenchResult, out_dir=None) -> str:
-    """Write ``BENCH_concurrent.json`` via the envelope; returns path."""
-    return write_bench_json("concurrent", {
-        "scaling": [{
-            "mutators": row.mutators,
-            "ops": row.ops,
-            "steps": row.steps,
-            "elapsed_ms": row.elapsed_ms,
-            "throughput_ops_per_ms": row.throughput_ops_per_ms,
-            "busy_ns": row.busy_ns,
-            "speedup": row.speedup,
-        } for row in result.rows],
-        "max_speedup": result.max_speedup,
-        "scaling_target_met": result.max_speedup >= 3.0,
-    }, out_dir=out_dir, params={
-        "gang_widths": [row.mutators for row in result.rows],
-        "total_ops": result.total_ops,
-        "key_space": result.key_space,
-    })
-
-
-def main() -> ConcurrentBenchResult:
-    with tempfile.TemporaryDirectory() as tmp:
-        result = run(tmp)
-    print(format_table(
+def table(result: ConcurrentBenchResult) -> str:
+    return format_table(
         ["Mutators", "Ops", "Steps", "Elapsed (ms)", "ops/ms", "Speedup"],
         [(row.mutators, row.ops, row.steps, f"{row.elapsed_ms:.4f}",
           f"{row.throughput_ops_per_ms:.1f}", f"{row.speedup:.2f}x")
          for row in result.rows],
         title=(f"§16 — contended KV throughput vs gang width "
                f"({result.total_ops} ops over {result.key_space} keys; "
-               f"target: 8-mutator ≥ 3x 1-mutator)")))
-    path = emit(result)
-    print(f"wrote {path}")
-    return result
+               f"target: 8-mutator ≥ 3x 1-mutator)"))
 
 
-if __name__ == "__main__":
-    main()
+def check(result: ConcurrentBenchResult) -> None:
+    rows = result.rows
+    speedups = [row.speedup for row in rows]
+    assert speedups[0] == 1.0 and speedups == sorted(speedups), \
+        "§16: throughput never drops as the gang widens"
+    assert result.max_speedup >= 3.0, \
+        f"§16: {rows[-1].mutators} mutators clear 3x the 1-mutator " \
+        f"throughput on the identical op budget"
+    assert rows[-1].elapsed_ms < rows[0].elapsed_ms, \
+        "§16: the widest gang finishes the budget sooner"
+
+
+def payload(result: ConcurrentBenchResult) -> Dict[str, object]:
+    return {"scaling": [asdict(row) for row in result.rows],
+            "max_speedup": result.max_speedup}
+
+
+# A tenth of a host second at full size, so tier-1 runs that too.
+_SIZE = {"widths": GANG_WIDTHS, "total_ops": TOTAL_OPS, "key_space": KEY_SPACE}
+
+EXPERIMENT = Experiment(
+    name="concurrent", title="§16 — contended KV throughput vs gang width",
+    run=run, full=_SIZE, ci=_SIZE,
+    table=table, check=check, payload=payload)

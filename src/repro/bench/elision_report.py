@@ -139,27 +139,27 @@ def _bench_entry(fe: Dict[str, object]) -> Dict[str, object]:
     return entry
 
 
-def _run_fig17(count: int) -> Dict[str, object]:
-    from repro.bench.fig17_basictest_breakdown import run
-    with tempfile.TemporaryDirectory(prefix="repro-elision-fig17-") as tmp:
-        result = run(count, heap_dir=Path(tmp), flush_certified=True)
-    entry = _bench_entry(result.flush_elision)
-    entry["params"] = {"count": count}
-    return entry
+def run_benches(count: int, transactions: int) -> Dict[str, object]:
+    """Run both elision benches: the slow, baseline-independent half."""
+    from repro.bench import fig17_basictest_breakdown, tpcc_bench
+
+    benches: Dict[str, object] = {}
+    for name, module, params in (
+            ("fig17", fig17_basictest_breakdown, {"count": count}),
+            ("tpcc", tpcc_bench, {"transactions": transactions})):
+        with tempfile.TemporaryDirectory(
+                prefix=f"repro-elision-{name}-") as tmp:
+            result = module.run(heap_dir=Path(tmp), flush_certified=True,
+                                **params)
+        benches[name] = {**_bench_entry(result.flush_elision),
+                         "params": params}
+    return benches
 
 
-def _run_tpcc(transactions: int) -> Dict[str, object]:
-    from repro.bench.tpcc_bench import run
-    with tempfile.TemporaryDirectory(prefix="repro-elision-tpcc-") as tmp:
-        result = run(transactions, heap_dir=Path(tmp), flush_certified=True)
-    entry = _bench_entry(result.flush_elision)
-    entry["params"] = {"transactions": transactions}
-    return entry
-
-
-def build_report(count: int, transactions: int,
-                 baseline_path: Path) -> Dict[str, object]:
-    benches = {"fig17": _run_fig17(count), "tpcc": _run_tpcc(transactions)}
+def assemble_report(benches: Dict[str, object],
+                    baseline_path: Path) -> Dict[str, object]:
+    """Judge :func:`run_benches`' entries and the canonical trace against
+    the fingerprint baseline at *baseline_path*."""
     canonical = _check_baseline(baseline_path)
     return {
         "report": "elision",
@@ -190,7 +190,8 @@ def main(argv=None) -> int:
                              "ESP401/402 findings must be covered by")
     args = parser.parse_args(argv)
 
-    report = build_report(args.count, args.transactions, args.baseline)
+    report = assemble_report(run_benches(args.count, args.transactions),
+                             args.baseline)
     args.out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
     for name, entry in sorted(report["benches"].items()):

@@ -12,13 +12,14 @@ bookkeeping).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict
 
 from repro.jpab import BASIC_TEST, CrudDriver, make_jpa_em
 from repro.nvm.clock import Clock
 
-from repro.bench.harness import breakdown_percentages, format_table
+from repro.bench.harness import (Experiment, breakdown_percentages,
+                                 shares_table)
 
 PAPER_REFERENCE = {"database": 24.0, "transformation": 41.9, "other": 34.1}
 
@@ -30,7 +31,7 @@ class Fig04Result:
     count: int
 
 
-def run(count: int = 200) -> Fig04Result:
+def run(count: int) -> Fig04Result:
     clock = Clock()
     em = make_jpa_em(clock, BASIC_TEST.entities)
     driver = CrudDriver(em, BASIC_TEST, count)
@@ -44,20 +45,27 @@ def run(count: int = 200) -> Fig04Result:
                        count=count)
 
 
-def main(count: int = 200) -> Fig04Result:
-    result = run(count)
-    rows = [(phase.capitalize(),
-             f"{result.shares.get(phase, 0.0):.1f}%",
-             f"{PAPER_REFERENCE[phase]:.1f}%")
-            for phase in ("database", "transformation", "other")]
-    print(format_table(
-        ["Phase", "Measured", "Paper"],
-        rows,
+def table(result: Fig04Result) -> str:
+    return shares_table(
+        result.shares, PAPER_REFERENCE, "Phase",
         title=(f"Figure 4 — DataNucleus retrieve breakdown "
                f"({result.count} retrieves, "
-               f"{result.total_ns / 1e6:.2f} simulated ms)")))
-    return result
+               f"{result.total_ns / 1e6:.2f} simulated ms)"))
 
 
-if __name__ == "__main__":
-    main()
+def check(result: Fig04Result) -> None:
+    shares = result.shares
+    assert shares["transformation"] > shares["database"], \
+        "Fig. 4: transformation (paper 41.9%) outweighs the database (24.0%)"
+    assert shares["transformation"] > 30.0, \
+        "Fig. 4: transformation is the largest share, above 30%"
+    assert shares["other"] > 10.0, \
+        "Fig. 4: provider bookkeeping (paper 34.1%) stays above 10%"
+
+
+EXPERIMENT = Experiment(
+    name="fig04", title="Figure 4 — DataNucleus commit breakdown",
+    # JPA over H2 persists nothing to a heap directory.
+    run=lambda heap_dir, **size: run(**size),
+    full={"count": 200}, ci={"count": 60},
+    table=table, check=check, payload=asdict)

@@ -12,13 +12,14 @@ We create PersistentLongs in our PCJ and report the same category shares
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict
 
 from repro.nvm.clock import Clock
 from repro.pcj import MemoryPool, PersistentLong
 
-from repro.bench.harness import breakdown_percentages, format_table
+from repro.bench.harness import (Experiment, breakdown_percentages,
+                                 shares_table)
 
 CATEGORIES = ["transaction", "gc", "metadata", "allocation", "data"]
 PAPER_REFERENCE = {
@@ -38,7 +39,7 @@ class Fig06Result:
     count: int
 
 
-def run(count: int = 5000) -> Fig06Result:
+def run(count: int) -> Fig06Result:
     """Scaled from the paper's 200,000 creates (simulated time is exact
     per-operation, so the share breakdown converges quickly)."""
     clock = Clock()
@@ -55,19 +56,30 @@ def run(count: int = 5000) -> Fig06Result:
                        count=count)
 
 
-def main(count: int = 5000) -> Fig06Result:
-    result = run(count)
-    rows = [(category.capitalize(),
-             f"{result.shares.get(category, 0.0):.1f}%",
-             f"{PAPER_REFERENCE[category]:.1f}%")
-            for category in CATEGORIES + ["other"]]
-    print(format_table(
-        ["Category", "Measured", "Paper"],
-        rows,
+def table(result: Fig06Result) -> str:
+    return shares_table(
+        result.shares, PAPER_REFERENCE, "Category",
         title=(f"Figure 6 — PCJ create breakdown ({result.count} "
-               f"PersistentLong creates, {result.per_create_ns:.0f} ns each)")))
-    return result
+               f"PersistentLong creates, {result.per_create_ns:.0f} ns each)"))
 
 
-if __name__ == "__main__":
-    main()
+def check(result: Fig06Result) -> None:
+    shares = result.shares
+    assert shares["data"] < 10.0, \
+        "Fig. 6: real data manipulation is a sliver (paper 1.8%)"
+    assert shares["metadata"] > shares["data"], \
+        "Fig. 6: metadata update outweighs the data itself"
+    assert shares["metadata"] > 15.0, \
+        "Fig. 6: metadata (type memorization) is a first-class cost (36.8%)"
+    assert 5.0 < shares["gc"] < 30.0, \
+        "Fig. 6: GC bookkeeping is a first-class cost (paper 14.8%)"
+    assert shares["transaction"] > 10.0, \
+        "Fig. 6: the NVML transaction takes a double-digit share"
+
+
+EXPERIMENT = Experiment(
+    name="fig06", title="Figure 6 — PCJ create breakdown",
+    # A PCJ MemoryPool persists nothing to a heap directory.
+    run=lambda heap_dir, **size: run(**size),
+    full={"count": 5000}, ci={"count": 1500},
+    table=table, check=check, payload=asdict)

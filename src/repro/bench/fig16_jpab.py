@@ -7,7 +7,6 @@ JPAB tests (Basic/Ext/Collection/Node) and the four CRUD operations.
 
 from __future__ import annotations
 
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Tuple
@@ -20,7 +19,7 @@ from repro.jpab import (
     run_jpab_test,
 )
 
-from repro.bench.harness import format_table
+from repro.bench.harness import Experiment, format_table, slash_keys
 
 
 @dataclass
@@ -34,16 +33,15 @@ class Fig16Result:
         return self.cells[(test, op)][2]
 
 
-def run(count: int = 60, heap_dir: Path | None = None) -> Fig16Result:
+def run(count: int, heap_dir: Path) -> Fig16Result:
     result = Fig16Result(count=count)
-    root = heap_dir if heap_dir is not None else Path(tempfile.mkdtemp())
     for test in ALL_TESTS:
         jpa = run_jpab_test(
             test, lambda clock: make_jpa_em(clock, test.entities),
             count, "H2-JPA")
         pjo = run_jpab_test(
             test, lambda clock: make_pjo_em(clock, test.entities,
-                                            root / f"fig16-{test.name}"),
+                                            heap_dir / f"fig16-{test.name}"),
             count, "H2-PJO")
         for op in OPERATIONS:
             jpa_tp = jpa.operations[op].throughput
@@ -53,22 +51,35 @@ def run(count: int = 60, heap_dir: Path | None = None) -> Fig16Result:
     return result
 
 
-def main(count: int = 60) -> Fig16Result:
-    result = run(count)
-    rows = []
-    for test in ALL_TESTS:
-        for op in OPERATIONS:
-            jpa_tp, pjo_tp, speedup = result.cells[(test.name, op)]
-            rows.append((test.name, op, f"{jpa_tp:.1f}", f"{pjo_tp:.1f}",
-                         f"{speedup:.2f}x"))
-    print(format_table(
+def table(result: Fig16Result) -> str:
+    rows = [(test, op, f"{jpa_tp:.1f}", f"{pjo_tp:.1f}", f"{speedup:.2f}x")
+            for (test, op), (jpa_tp, pjo_tp, speedup) in result.cells.items()]
+    return format_table(
         ["Test", "Operation", "H2-JPA ops/ms", "H2-PJO ops/ms", "Speedup"],
         rows,
         title=(f"Figure 16 — JPAB throughput, H2-JPA vs H2-PJO "
                f"({result.count} entities per test; paper: PJO wins all, "
-               f"up to 3.24x)")))
-    return result
+               f"up to 3.24x)"))
 
 
-if __name__ == "__main__":
-    main()
+def check(result: Fig16Result) -> None:
+    for (test, op), (_jpa, _pjo, speedup) in result.cells.items():
+        assert speedup > 1.0, \
+            f"Fig. 16: PJO outperforms H2-JPA in all test cases ({test} {op})"
+    assert max(cell[2] for cell in result.cells.values()) > 2.0, \
+        "Fig. 16: the best PJO speedup clears 2x (paper: up to 3.24x)"
+    for test in ALL_TESTS:
+        assert result.speedup(test.name, "Create") <= \
+            result.speedup(test.name, "Update"), \
+            f"Fig. 16: Create is the most modest win ({test.name})"
+
+
+def payload(result: Fig16Result) -> Dict[str, object]:
+    """``cells``: "test/op" -> [jpa ops/ms, pjo ops/ms, speedup]."""
+    return {"count": result.count, "cells": slash_keys(result.cells)}
+
+
+EXPERIMENT = Experiment(
+    name="fig16", title="Figure 16 — JPAB throughput, H2-JPA vs H2-PJO",
+    run=run, full={"count": 60}, ci={"count": 30},
+    table=table, check=check, payload=payload)

@@ -9,7 +9,6 @@ change from the JDBC interfaces to our DBPersistable abstractions."
 
 from __future__ import annotations
 
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Optional, Tuple
@@ -18,7 +17,9 @@ from repro.jpab import BASIC_TEST, OPERATIONS, make_jpa_em, make_pjo_em, \
     run_jpab_test
 from repro.obs import Observatory
 
-from repro.bench.harness import format_table, write_bench_json
+from repro.bench.harness import (Experiment, flush_elision_line,
+                                 flush_elision_summary, format_table,
+                                 slash_keys)
 
 PHASES = ["database", "transformation", "other"]
 
@@ -48,7 +49,7 @@ class Fig17Result:
     flush_elision: Dict[str, object] = field(default_factory=dict)
 
 
-def run(count: int = 100, heap_dir: Path | None = None,
+def run(count: int, heap_dir: Path,
         trace: bool = False, certified: bool = False,
         flush_certified: bool = False) -> Fig17Result:
     """Run both providers; ``trace=True`` records per-operation span and
@@ -69,19 +70,17 @@ def run(count: int = 100, heap_dir: Path | None = None,
     installed and records the flush/fence deltas plus the same
     no-durable-byte-changed proof.
     """
-    root = heap_dir if heap_dir is not None else Path(tempfile.mkdtemp())
     result = Fig17Result(count=count)
     jpa_obs: Optional[Observatory] = Observatory() if trace else None
     pjo_obs: Optional[Observatory] = Observatory() if trace else None
     ems: Dict[str, object] = {}
 
     def pjo_factory(label: str, subdir: str, obs, certify: bool,
-                    elision_cert=None, alloc_buffer_words=None):
+                    elision_cert=None, **overrides):
         def build(clock):
             em = make_pjo_em(
-                clock, BASIC_TEST.entities, root / subdir, certify=certify,
-                alloc_buffer_words=alloc_buffer_words,
-                **({"obs": obs} if obs is not None else {}))
+                clock, BASIC_TEST.entities, heap_dir / subdir, certify=certify,
+                **overrides, **({"obs": obs} if obs is not None else {}))
             if elision_cert is not None:
                 em.jvm.vm.elision_certificate = elision_cert
                 em.jvm.config.elision_certificate = elision_cert
@@ -110,7 +109,7 @@ def run(count: int = 100, heap_dir: Path | None = None,
             count, "H2-PJO-certified", observatory=cert_obs)
         runs.append(("H2-PJO-certified", cert))
     if flush_certified:
-        flush_cert, probe_log = _probe_flush_elision(count, root)
+        flush_cert, probe_log = _probe_flush_elision(count, heap_dir)
         elided_obs: Optional[Observatory] = Observatory() if trace else None
         elided = run_jpab_test(
             BASIC_TEST,
@@ -213,63 +212,22 @@ def _elision_summary(baseline_em, certified_em) -> Dict[str, object]:
 
 def _flush_elision_summary(coalesced_em, baseline_em, elided_em, cert,
                            probe_log) -> Dict[str, object]:
-    """clflush/sfence totals and reductions, plus the safety evidence.
-
-    ``reduction`` (the pinned number) compares the certified run against
-    the *coalesced* leg — PR 2's epoch-coalescing protocol with neither
-    TLABs nor a certificate — so it captures the whole buffered+elided
-    delta.  ``elision_reduction`` isolates the certificate's share
-    (certified vs the buffered-uncertified baseline); that pair runs the
-    identical allocation protocol, so its durable images must match byte
-    for byte (SHA-256).  Totals are whole-session (schema + CRUD) device
-    counters; the hazard verdict is the probe trace's ESP201-205 pass.
-    """
-    import hashlib
-
-    import numpy as np
-
-    from repro.analysis.hazards import analyze_trace
+    """Whole-session (schema + CRUD) device counters of the three legs,
+    their live durable images and fsck verdicts."""
     from repro.tools.fsck import fsck_heap
 
-    summary: Dict[str, object] = {}
-    heaps = {}
-    for label, em in (("coalesced", coalesced_em),
-                      ("baseline", baseline_em),
-                      ("certified", elided_em)):
-        heap = em.jvm.heaps.heap("jpab")
-        heaps[label] = heap
-        stats = heap.device.stats
-        summary[label] = {"flushes": stats.flushes, "fences": stats.fences,
-                          "flushes_elided": stats.flushes_elided,
-                          "fences_elided": stats.fences_elided}
-    totals = {label: summary[label]["flushes"] + summary[label]["fences"]
-              for label in ("coalesced", "baseline", "certified")}
-    summary["reduction"] = (1.0 - totals["certified"] / totals["coalesced"]
-                            if totals["coalesced"] else 0.0)
-    summary["elision_reduction"] = (
-        1.0 - totals["certified"] / totals["baseline"]
-        if totals["baseline"] else 0.0)
-    hazards = analyze_trace(probe_log)
-    hazard_diags = hazards.diagnostics()
-    summary["hazards"] = {
-        "errors": sum(1 for d in hazard_diags if d.severity == "error"),
-        "warnings": sum(1 for d in hazard_diags if d.severity == "warning"),
-    }
-    images = {label: heap.device.durable_image()
-              for label, heap in heaps.items()}
-    summary["durable_image_equal"] = bool(np.array_equal(
-        images["baseline"], images["certified"]))
-    summary["durable_image_sha256"] = {
-        label: hashlib.sha256(image.tobytes()).hexdigest()
-        for label, image in images.items()}
-    summary["fsck_clean"] = {label: fsck_heap(heap).clean
-                             for label, heap in heaps.items()}
-    summary["certificate"] = cert.to_dict()
-    return summary
+    heaps = {label: em.jvm.heaps.heap("jpab")
+             for label, em in (("coalesced", coalesced_em),
+                               ("baseline", baseline_em),
+                               ("certified", elided_em))}
+    return flush_elision_summary(
+        {label: heap.device.stats.as_dict() for label, heap in heaps.items()},
+        {label: heap.device.durable_image() for label, heap in heaps.items()},
+        {label: fsck_heap(heap).clean for label, heap in heaps.items()},
+        cert, probe_log)
 
 
-def main(count: int = 100) -> Fig17Result:
-    result = run(count, trace=True, certified=True, flush_certified=True)
+def table(result: Fig17Result) -> str:
     rows = []
     providers = ["H2-JPA", "H2-PJO", "H2-PJO-certified", "H2-PJO-elided"]
     for op in OPERATIONS:
@@ -283,48 +241,57 @@ def main(count: int = 100) -> Fig17Result:
                          f"{cell['transformation']:.3f}",
                          f"{cell['other']:.3f}",
                          f"{total:.3f}"))
-    print(format_table(
+    lines = [format_table(
         ["Operation", "Provider", "Execution (ms)", "Transformation (ms)",
          "Other (ms)", "Total (ms)"],
         rows,
         title=(f"Figure 17 — BasicTest breakdown, simulated ms for "
                f"{result.count} entities (paper: transformation vanishes "
-               f"under PJO; execution also drops)")))
+               f"under PJO; execution also drops)"))]
     if result.elision:
         elision = result.elision
-        print(f"barrier elision: {elision['certified']['elided']} of "
-              f"{elision['certified']['elided'] + elision['certified']['checks']}"
-              f" ref-store barriers skipped "
-              f"({elision['elision_ratio']:.1%}); durable image equal: "
-              f"{elision['durable_image_equal']}")
+        lines.append(
+            f"barrier elision: {elision['certified']['elided']} of "
+            f"{elision['certified']['elided'] + elision['certified']['checks']}"
+            f" ref-store barriers skipped "
+            f"({elision['elision_ratio']:.1%}); durable image equal: "
+            f"{elision['durable_image_equal']}")
     if result.flush_elision:
-        fe = result.flush_elision
-        print(f"flush elision: clflush+sfence "
-              f"{fe['coalesced']['flushes'] + fe['coalesced']['fences']} "
-              f"(coalesced) -> "
-              f"{fe['certified']['flushes'] + fe['certified']['fences']} "
-              f"({fe['reduction']:.1%} reduction, of which "
-              f"{fe['elision_reduction']:.1%} from the certificate: "
-              f"{fe['certified']['flushes_elided']} flushes + "
-              f"{fe['certified']['fences_elided']} fences elided); "
-              f"durable image equal: {fe['durable_image_equal']}")
-    write_bench_json("fig17", {
+        lines.append(flush_elision_line(result.flush_elision))
+    return "\n".join(lines)
+
+
+def check(result: Fig17Result) -> None:
+    for op in OPERATIONS:
+        jpa = result.cells[("H2-JPA", op)]
+        pjo = result.cells[("H2-PJO", op)]
+        assert pjo["transformation"] == 0.0 < jpa["transformation"], \
+            f"Fig. 17: the transformation phase is removed under PJO ({op})"
+        assert sum(pjo.values()) < sum(jpa.values()), \
+            f"Fig. 17: total time drops under PJO ({op})"
+    faster_execution = sum(
+        1 for op in OPERATIONS
+        if result.cells[("H2-PJO", op)]["database"]
+        < result.cells[("H2-JPA", op)]["database"])
+    assert faster_execution >= len(OPERATIONS) // 2, \
+        "Fig. 17: the execution time in H2 also decreases for most cases"
+
+
+def payload(result: Fig17Result) -> Dict[str, object]:
+    return {
         "count": result.count,
-        "cells": {f"{provider}/{op}": cell
-                  for (provider, op), cell in result.cells.items()},
-        "nvm": {f"{provider}/{op}": counters
-                for (provider, op), counters in result.nvm.items()},
-        "obs": {f"{provider}/{op}": delta
-                for (provider, op), delta in result.obs.items()},
-        "barrier": {
-            **{f"{provider}/{op}": counters
-               for (provider, op), counters in result.barrier.items()},
-            "elision": result.elision,
-        },
+        "cells": slash_keys(result.cells),
+        "nvm": slash_keys(result.nvm),
+        "obs": slash_keys(result.obs),
+        "barrier": {**slash_keys(result.barrier), "elision": result.elision},
         "flush_elision": result.flush_elision,
-    }, params={"count": result.count})
-    return result
+    }
 
 
-if __name__ == "__main__":
-    main()
+EXPERIMENT = Experiment(
+    name="fig17", title="Figure 17 — BasicTest time breakdown",
+    run=run,
+    full={"count": 100, "trace": True, "certified": True,
+          "flush_certified": True},
+    ci={"count": 40},
+    table=table, check=check, payload=payload)

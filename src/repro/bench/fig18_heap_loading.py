@@ -16,7 +16,6 @@ curve without changing the loaded image.
 
 from __future__ import annotations
 
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List
@@ -25,7 +24,7 @@ from repro.api import Espresso
 from repro.core.safety import SafetyLevel
 from repro.runtime.klass import FieldKind, field as kfield
 
-from repro.bench.harness import format_table, write_bench_json
+from repro.bench.harness import Experiment, format_table
 
 KLASS_COUNT = 20  # "20 different Klasses", as in the paper
 
@@ -71,15 +70,10 @@ def _load_time_ms(heap_dir: Path, safety: SafetyLevel,
     return report.load_ns / 1e6
 
 
-def run(object_counts: List[int] | None = None,
-        heap_dir: Path | None = None) -> Fig18Result:
-    if object_counts is None:
-        # The paper's 0.2M..2M scaled down 10x.
-        object_counts = [20_000, 50_000, 100_000, 150_000, 200_000]
-    root = heap_dir if heap_dir is not None else Path(tempfile.mkdtemp())
+def run(object_counts: List[int], heap_dir: Path) -> Fig18Result:
     result = Fig18Result()
     for count in object_counts:
-        build_dir = root / f"n{count}"
+        build_dir = heap_dir / f"n{count}"
         _build_heap(build_dir, count)
         # Each load runs in its own fresh "JVM process".
         result.series[count] = {
@@ -91,26 +85,47 @@ def run(object_counts: List[int] | None = None,
     return result
 
 
-def main(object_counts: List[int] | None = None) -> Fig18Result:
-    result = run(object_counts)
+def table(result: Fig18Result) -> str:
     rows = [(f"{count:,}", f"{times['UG']:.3f}", f"{times['Zero']:.3f}",
              f"{times['ZeroW8']:.3f}")
             for count, times in sorted(result.series.items())]
-    print(format_table(
+    return format_table(
         ["Objects", "UG load (ms)", "Zeroing load (ms)",
          f"Zeroing x{ZERO_WORKERS} workers (ms)"],
         rows,
         title=("Figure 18 — heap loading time (paper: UG flat in object "
-               "count, zeroing linear; counts scaled 10x down)")))
-    path = write_bench_json("fig18", {
+               "count, zeroing linear; counts scaled 10x down)"))
+
+
+def check(result: Fig18Result) -> None:
+    counts = sorted(result.series)
+    ug = [result.series[c]["UG"] for c in counts]
+    zero = [result.series[c]["Zero"] for c in counts]
+    assert max(ug) < min(ug) * 1.5 + 0.01, \
+        "Fig. 18: user-guaranteed loading is flat in the object count"
+    assert zero[-1] > zero[0] * 2.5, \
+        "Fig. 18: zeroing grows linearly with the object count"
+    for count in counts:
+        times = result.series[count]
+        assert times["Zero"] > times["UG"], \
+            f"Fig. 18: zeroing is always the slower level ({count} objects)"
+        assert times["ZeroW8"] <= times["Zero"], \
+            f"Fig. 18: the zeroing gang is never slower ({count} objects)"
+
+
+def payload(result: Fig18Result) -> Dict[str, object]:
+    return {
         "klass_count": KLASS_COUNT,
         "zero_workers": ZERO_WORKERS,
         "series": {str(count): times
                    for count, times in sorted(result.series.items())},
-    }, params={"klass_count": KLASS_COUNT, "zero_workers": ZERO_WORKERS})
-    print(f"wrote {path}")
-    return result
+    }
 
 
-if __name__ == "__main__":
-    main()
+EXPERIMENT = Experiment(
+    name="fig18", title="Figure 18 — heap loading time, UG vs zeroing",
+    run=run,
+    # The paper's 0.2M..2M objects scaled down 10x.
+    full={"object_counts": [20_000, 50_000, 100_000, 150_000, 200_000]},
+    ci={"object_counts": [2000, 4000, 8000]},
+    table=table, check=check, payload=payload)

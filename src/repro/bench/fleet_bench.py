@@ -12,18 +12,15 @@ The second half measures fail-over: with every shard's queue loaded,
 one shard power-fails; the survivors drain their queues, the victim
 recovers on the gang, and the recovery time lands in the report via
 :mod:`repro.obs.fleet`.
-
-Emits ``BENCH_fleet.json`` through the shared bench envelope.
 """
 
 from __future__ import annotations
 
-import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Dict, List, Sequence, Tuple
 
-from repro.bench.harness import format_table, write_bench_json
+from repro.bench.harness import Experiment, format_table
 from repro.fleet import FleetConfig, FleetRouter
 
 SHARD_COUNTS = (1, 2, 4, 8)
@@ -85,16 +82,15 @@ def _config(shards: int, sessions: int) -> FleetConfig:
                        max_in_flight=max(64, 2 * sessions))
 
 
-def run_scaling(base_dir, shard_counts: Sequence[int] = SHARD_COUNTS,
+def run_scaling(heap_dir: Path, shard_counts: Sequence[int] = SHARD_COUNTS,
                 sessions: int = SESSIONS,
                 rounds: int = ROUNDS) -> List[ScalingRow]:
     """One fresh fleet per shard count, identical workload, same tenants."""
-    base_dir = Path(base_dir)
     tenants = _tenants(sessions)
     rows: List[ScalingRow] = []
     baseline = None
     for count in shard_counts:
-        fleet = FleetRouter.create(base_dir / f"fleet-{count}",
+        fleet = FleetRouter.create(heap_dir / f"fleet-{count}",
                                    config=_config(count, sessions))
         ops, elapsed_ns = _drive(fleet, tenants, rounds)
         report = fleet.report()
@@ -115,7 +111,7 @@ def run_scaling(base_dir, shard_counts: Sequence[int] = SHARD_COUNTS,
     return rows
 
 
-def run_recovery(base_dir, shards: int = RECOVERY_SHARDS,
+def run_recovery(heap_dir: Path, shards: int = RECOVERY_SHARDS,
                  sessions: int = SESSIONS,
                  rounds: int = 2) -> Dict[str, object]:
     """Crash one shard with every queue loaded; measure the fail-over.
@@ -125,9 +121,8 @@ def run_recovery(base_dir, shards: int = RECOVERY_SHARDS,
     during the outage, and the victim's committed state is intact after
     recovery.
     """
-    base_dir = Path(base_dir)
     tenants = _tenants(sessions)
-    fleet = FleetRouter.create(base_dir / "fleet-recovery",
+    fleet = FleetRouter.create(heap_dir / "fleet-recovery",
                                config=_config(shards, sessions))
     _drive(fleet, tenants, rounds)  # committed warm state on every shard
 
@@ -152,41 +147,17 @@ def run_recovery(base_dir, shards: int = RECOVERY_SHARDS,
     }
 
 
-def run(base_dir, shard_counts: Sequence[int] = SHARD_COUNTS,
+def run(heap_dir: Path, shard_counts: Sequence[int] = SHARD_COUNTS,
         sessions: int = SESSIONS, rounds: int = ROUNDS,
         recovery_shards: int = RECOVERY_SHARDS) -> FleetBenchResult:
-    rows = run_scaling(base_dir, shard_counts, sessions, rounds)
-    recovery = run_recovery(base_dir, recovery_shards, sessions)
+    rows = run_scaling(heap_dir, shard_counts, sessions, rounds)
+    recovery = run_recovery(heap_dir, recovery_shards, sessions)
     return FleetBenchResult(rows=rows, recovery=recovery,
                             sessions=sessions, rounds=rounds)
 
 
-def emit(result: FleetBenchResult, out_dir=None) -> str:
-    """Write ``BENCH_fleet.json`` via the shared envelope; returns path."""
-    return write_bench_json("fleet", {
-        "scaling": [{
-            "shards": row.shards,
-            "requests": row.requests,
-            "elapsed_ms": row.elapsed_ms,
-            "throughput_ops_per_ms": row.throughput_ops_per_ms,
-            "p50_ns": row.p50_ns,
-            "p99_ns": row.p99_ns,
-            "speedup": row.speedup,
-        } for row in result.rows],
-        "max_speedup": result.max_speedup,
-        "scaling_target_met": result.max_speedup >= 3.0,
-        "recovery": result.recovery,
-    }, out_dir=out_dir, params={
-        "shard_counts": [row.shards for row in result.rows],
-        "sessions": result.sessions,
-        "rounds": result.rounds,
-    })
-
-
-def main() -> FleetBenchResult:
-    with tempfile.TemporaryDirectory() as tmp:
-        result = run(tmp)
-    print(format_table(
+def table(result: FleetBenchResult) -> str:
+    scaling_table = format_table(
         ["Shards", "Requests", "Elapsed (ms)", "ops/ms", "p50 (ns)",
          "p99 (ns)", "Speedup"],
         [(row.shards, row.requests, f"{row.elapsed_ms:.3f}",
@@ -195,17 +166,47 @@ def main() -> FleetBenchResult:
         title=(f"§15 — fleet throughput vs shard count "
                f"({result.sessions} tenants, {result.rounds} contended "
                f"rounds; target: {result.rows[-1].shards}-shard ≥ 3x "
-               f"1-shard)")))
+               f"1-shard)"))
     rec = result.recovery
-    print(f"fail-over ({rec['shards']} shards): victim shard "
-          f"{rec['victim']} dropped {rec['dropped']} in-flight, survivors "
-          f"served {rec['served_during_outage']} during the outage, "
-          f"recovered in {rec['recovery_ms']:.3f} ms, committed state "
-          f"intact: {rec['victim_state_intact']}")
-    path = emit(result)
-    print(f"wrote {path}")
-    return result
+    return (f"{scaling_table}\n"
+            f"fail-over ({rec['shards']} shards): victim shard "
+            f"{rec['victim']} dropped {rec['dropped']} in-flight, survivors "
+            f"served {rec['served_during_outage']} during the outage, "
+            f"recovered in {rec['recovery_ms']:.3f} ms, committed state "
+            f"intact: {rec['victim_state_intact']}")
 
 
-if __name__ == "__main__":
-    main()
+def check(result: FleetBenchResult) -> None:
+    rows, rec = result.rows, result.recovery
+    speedups = [row.speedup for row in rows]
+    assert speedups[0] == 1.0 and speedups == sorted(speedups), \
+        "§15: throughput never drops as shards are added"
+    assert result.max_speedup >= 3.0, \
+        f"§15: {rows[-1].shards} shards clear 3x the 1-shard throughput"
+    assert rows[-1].p50_ns < rows[0].p50_ns, \
+        "§15: more shards mean less queueing per shard (p50 drops)"
+    for row in rows:
+        assert row.p99_ns >= row.p50_ns > 0, \
+            f"§15: latency percentiles are ordered ({row.shards} shards)"
+    assert rec["dropped"] > 0 and rec["served_during_outage"] > 0, \
+        "§15: the victim's queue is lost, the survivors serve the outage"
+    assert rec["recovery_ns"] > 0 and rec["summary"]["count"] == 1, \
+        "§15: exactly one recovery, and it takes simulated time"
+    assert rec["victim_state_intact"] is True, \
+        "§15: the victim's committed state survives the fail-over"
+
+
+def payload(result: FleetBenchResult) -> Dict[str, object]:
+    return {"scaling": [asdict(row) for row in result.rows],
+            "max_speedup": result.max_speedup,
+            "recovery": result.recovery}
+
+
+EXPERIMENT = Experiment(
+    name="fleet", title="§15 — fleet throughput vs shard count, fail-over",
+    run=run,
+    full={"shard_counts": SHARD_COUNTS, "sessions": SESSIONS,
+          "rounds": ROUNDS, "recovery_shards": RECOVERY_SHARDS},
+    ci={"shard_counts": (1, 8), "sessions": 48, "rounds": 3,
+        "recovery_shards": RECOVERY_SHARDS},
+    table=table, check=check, payload=payload)

@@ -21,16 +21,15 @@ image's SHA-256 so the invariant is diffable from the JSON alone.
 from __future__ import annotations
 
 import hashlib
-import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 from repro.api import Espresso
 from repro.core.pgc import PersistentGC
 from repro.runtime.klass import FieldKind, field as kfield
 
-from repro.bench.harness import format_table, write_bench_json
+from repro.bench.harness import Experiment, format_table
 
 
 @dataclass
@@ -66,12 +65,10 @@ def _populate(heap_dir: Path, object_count: int, live_every: int = 4):
     return jvm
 
 
-def run(object_count: int = 8000, heap_dir: Path | None = None
-        ) -> GcCostResult:
-    root = heap_dir if heap_dir is not None else Path(tempfile.mkdtemp())
+def run(object_count: int, heap_dir: Path) -> GcCostResult:
     # Two identical heaps: one collected with flushes, one without.
-    jvm_flush = _populate(root / "flush", object_count)
-    jvm_base = _populate(root / "base", object_count)
+    jvm_flush = _populate(heap_dir / "flush", object_count)
+    jvm_base = _populate(heap_dir / "base", object_count)
 
     heap_flush = jvm_flush.heaps.heap("gc")
     start = jvm_flush.clock.now_ns
@@ -96,15 +93,14 @@ class GcScalingRow:
     image_sha256: str        # durable image after the collection
 
 
-def run_scaling(object_count: int = 8000,
-                worker_counts: Sequence[int] = (1, 2, 4, 8),
-                heap_dir: Path | None = None) -> List[GcScalingRow]:
+def run_scaling(object_count: int, heap_dir: Path,
+                worker_counts: Sequence[int] = (1, 2, 4, 8)
+                ) -> List[GcScalingRow]:
     """One identical collection per worker count; pause and image digest."""
-    root = heap_dir if heap_dir is not None else Path(tempfile.mkdtemp())
     rows: List[GcScalingRow] = []
     base_pause_ms = None
     for workers in worker_counts:
-        jvm = _populate(root / f"w{workers}", object_count)
+        jvm = _populate(heap_dir / f"w{workers}", object_count)
         heap = jvm.heaps.heap("gc")
         start = jvm.clock.now_ns
         PersistentGC(heap, workers=workers).collect()
@@ -120,36 +116,57 @@ def run_scaling(object_count: int = 8000,
     return rows
 
 
-def main(object_count: int = 8000) -> GcCostResult:
-    result = run(object_count)
-    print(format_table(
+GcResult = Tuple[GcCostResult, List[GcScalingRow]]
+
+
+def run_both(object_count: int, heap_dir: Path) -> GcResult:
+    """The §6.4 flush-cost pair, then the §4.2 worker-scaling sweep."""
+    return (run(object_count, heap_dir),
+            run_scaling(object_count, heap_dir))
+
+
+def table(result: GcResult) -> str:
+    cost, scaling = result
+    cost_table = format_table(
         ["Objects", "Recoverable GC (ms)", "No-flush baseline (ms)",
          "Overhead", "Paper"],
-        [(f"{result.objects:,}", f"{result.flush_pause_ms:.3f}",
-          f"{result.baseline_pause_ms:.3f}",
-          f"{result.overhead_percent:.1f}%", "17.8%")],
-        title="§6.4 — pause-time cost of the recoverable GC"))
-
-    scaling = run_scaling(object_count)
-    print(format_table(
+        [(f"{cost.objects:,}", f"{cost.flush_pause_ms:.3f}",
+          f"{cost.baseline_pause_ms:.3f}",
+          f"{cost.overhead_percent:.1f}%", "17.8%")],
+        title="§6.4 — pause-time cost of the recoverable GC")
+    scaling_table = format_table(
         ["GC workers", "Pause (ms)", "Speedup", "Image SHA-256 (first 12)"],
         [(row.workers, f"{row.pause_ms:.3f}", f"{row.speedup:.2f}x",
           row.image_sha256[:12]) for row in scaling],
-        title="§4.2 — parallel old-GC pause scaling (image must not vary)"))
-    path = write_bench_json("gc_scaling", {
-        "objects": object_count,
-        "flush_pause_ms": result.flush_pause_ms,
-        "baseline_pause_ms": result.baseline_pause_ms,
-        "overhead_percent": result.overhead_percent,
-        "scaling": [{"workers": row.workers,
-                     "pause_ms": row.pause_ms,
-                     "speedup": row.speedup,
-                     "image_sha256": row.image_sha256}
-                    for row in scaling],
-    }, params={"objects": object_count})
-    print(f"wrote {path}")
-    return result
+        title="§4.2 — parallel old-GC pause scaling (image must not vary)")
+    return f"{cost_table}\n\n{scaling_table}"
 
 
-if __name__ == "__main__":
-    main()
+def check(result: GcResult) -> None:
+    cost, scaling = result
+    assert cost.flushes > 0 \
+        and cost.flush_pause_ms > cost.baseline_pause_ms, \
+        "§6.4: the recoverable GC flushes, and flushing costs pause time"
+    assert 0.0 < cost.overhead_percent < 60.0, \
+        "§6.4: flushes cost a modest share of the pause (paper 17.8%)"
+    assert len({row.image_sha256 for row in scaling}) == 1, \
+        "§4.2: the durable image is identical at every gang size"
+    assert scaling[0].speedup == 1.0 and scaling[-1].speedup >= 2.0, \
+        f"§4.2: {scaling[-1].workers} workers at least halve the pause"
+
+
+def payload(result: GcResult) -> Dict[str, object]:
+    cost, scaling = result
+    return {
+        "objects": cost.objects,
+        "flush_pause_ms": cost.flush_pause_ms,
+        "baseline_pause_ms": cost.baseline_pause_ms,
+        "overhead_percent": cost.overhead_percent,
+        "scaling": [asdict(row) for row in scaling],
+    }
+
+
+EXPERIMENT = Experiment(
+    name="gc_cost", title="§6.4 — the cost of recoverable GC",
+    run=run_both, full={"object_count": 8000}, ci={"object_count": 3000},
+    table=table, check=check, payload=payload)

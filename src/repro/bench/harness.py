@@ -1,91 +1,65 @@
-"""Shared plumbing for the figure-regeneration benchmarks.
+"""What every experiment shares: the :class:`Experiment` record and tables.
 
-Every ``fig*`` module exposes ``run(...) -> <structured result>`` plus a
-``main()`` that prints the same rows/series the paper's figure reports.
 Results are *simulated* time from the deterministic clock, so repeated runs
 are bit-identical; the paper's absolute numbers are not reproduced (its
-substrate was a Xeon + NVDIMM, ours is a simulator) — the shapes are.
+substrate was a Xeon + NVDIMM, ours is a simulator) — the shapes are, and
+each experiment's ``check`` says which.
 """
 
 from __future__ import annotations
 
-import json
-import os
-from typing import Dict, Iterable, List, Optional, Sequence
+import hashlib
+from dataclasses import dataclass
+from typing import (Any, Callable, Dict, Iterable, List, Mapping, Sequence,
+                    Tuple)
 
-from repro.nvm.device import DeviceStats, NvmDevice
 
+@dataclass(frozen=True)
+class Experiment:
+    """One paper experiment, declared once beside its ``run()``.
 
-def device_counters(devices: Dict[str, NvmDevice],
-                    since: Optional[Dict[str, DeviceStats]] = None
-                    ) -> Dict[str, Dict[str, int]]:
-    """Per-device flush/fence counter dicts, optionally as deltas.
-
-    *devices* maps a label (heap or database name) to its device; *since*
-    maps the same labels to snapshots taken before the phase of interest.
+    ``run(heap_dir=<scratch dir>, **size)`` returns the module's result
+    object.  ``full`` is the documented size ``python -m repro.bench``
+    runs, ``ci`` the size tier-1 runs.  ``table`` renders the result as
+    the paper's rows; ``check`` asserts the paper's shape claim on it —
+    each assertion names the claim, like a ``Sweep`` invariant — and must
+    hold at both sizes; ``payload`` flattens the result into the
+    JSON-able dict ``--json`` writes.
     """
-    out: Dict[str, Dict[str, int]] = {}
-    for label, device in sorted(devices.items()):
-        stats = device.stats
-        if since is not None and label in since:
-            stats = stats.delta(since[label])
-        out[label] = stats.as_dict()
-    return out
+
+    name: str
+    title: str
+    run: Callable[..., Any]
+    full: Mapping[str, Any]
+    ci: Mapping[str, Any]
+    table: Callable[[Any], str]
+    check: Callable[[Any], None]
+    payload: Callable[[Any], Dict[str, Any]]
 
 
-def snapshot_devices(devices: Dict[str, NvmDevice]) -> Dict[str, DeviceStats]:
-    """Capture a snapshot per device, for a later delta."""
-    return {label: device.stats.snapshot()
-            for label, device in devices.items()}
+def slash_keys(cells: Mapping[Tuple[str, ...], Any]) -> Dict[str, Any]:
+    """JSON has no tuple keys: ``("H2-PJO", "Create")`` becomes
+    ``"H2-PJO/Create"``."""
+    return {"/".join(key): value for key, value in cells.items()}
 
 
-#: Version stamp for the shared BENCH_*.json envelope below.  Bump when
-#: an envelope key changes meaning; result fields are bench-owned.
-BENCH_SCHEMA_VERSION = 1
-
-#: Envelope keys ``bench_payload`` owns; result dicts may not reuse them.
-_ENVELOPE_KEYS = ("bench", "schema_version", "params")
-
-
-def bench_payload(bench: str, results: Dict,
-                  params: Optional[Dict] = None) -> Dict:
-    """Assemble the shared ``BENCH_*.json`` schema for *bench*.
-
-    Every writer used to hand-roll its JSON; the shared envelope adds
-    ``bench`` (the name), ``schema_version`` and ``params`` (the knobs
-    the run was invoked with) while leaving every result field at top
-    level, so existing consumers and diffs keep working unchanged.
-    """
-    for key in _ENVELOPE_KEYS:
-        if key in results:
-            raise ValueError(
-                f"result field {key!r} collides with the bench envelope")
-    return {
-        "bench": bench,
-        "schema_version": BENCH_SCHEMA_VERSION,
-        "params": dict(params or {}),
-        **results,
-    }
+def shares_table(shares: Mapping[str, float], paper: Mapping[str, float],
+                 label: str, title: str) -> str:
+    """A breakdown figure: one row per category of *paper*, measured share
+    beside the paper's."""
+    return format_table(
+        [label, "Measured", "Paper"],
+        [(category.capitalize(), f"{shares.get(category, 0.0):.1f}%",
+          f"{reference:.1f}%") for category, reference in paper.items()],
+        title=title)
 
 
-def write_bench_json(name: str, payload: Dict,
-                     out_dir: Optional[str] = None,
-                     params: Optional[Dict] = None) -> str:
-    """Write ``BENCH_<name>.json`` (repo root by default); returns the path.
-
-    Every figure benchmark emits its rows *and* the per-phase NVM flush,
-    fence, dedup and epoch counters here so regressions in flush traffic
-    are diffable without re-reading stdout tables.  The payload is
-    wrapped in the shared :func:`bench_payload` envelope.
-    """
-    if out_dir is None:
-        out_dir = os.environ.get("BENCH_OUT_DIR", ".")
-    path = os.path.join(out_dir, f"BENCH_{name}.json")
-    with open(path, "w") as fh:
-        json.dump(bench_payload(name, payload, params), fh,
-                  indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
+def per_op_ns(clock, action: Callable[[int], Any], count: int) -> float:
+    """Mean simulated ns of ``action(i)`` over ``i in range(count)``."""
+    start = clock.now_ns
+    for i in range(count):
+        action(i)
+    return (clock.now_ns - start) / count
 
 
 def format_table(headers: Sequence[str], rows: Iterable[Sequence],
@@ -129,3 +103,65 @@ def breakdown_percentages(breakdown: Dict[str, float],
     known["other"] = 100.0 * (
         total - sum(breakdown.get(key, 0.0) for key in order)) / total
     return known
+
+
+_ELISION_LEGS = ("coalesced", "baseline", "certified")
+
+
+def flush_elision_summary(counters: Mapping[str, Mapping[str, int]],
+                          images: Mapping[str, Any],
+                          fsck_clean: Mapping[str, bool],
+                          cert, probe_log) -> Dict[str, object]:
+    """clflush/sfence totals and reductions of a flush-elision bench, plus
+    the safety evidence.  *counters* / *images* / *fsck_clean* map the
+    three legs to device counter dicts, durable images and fsck verdicts.
+
+    ``reduction`` (the pinned number) compares the certified run against
+    the *coalesced* leg — PR 2's epoch-coalescing protocol with neither
+    TLABs nor a certificate — so it captures the whole buffered+elided
+    delta.  ``elision_reduction`` isolates the certificate's share
+    (certified vs the buffered-uncertified baseline); that pair runs the
+    identical allocation protocol, so its durable images must match byte
+    for byte (SHA-256).  The hazard verdict is the probe trace's
+    ESP201-205 pass.
+    """
+    from repro.analysis.hazards import analyze_trace
+
+    summary: Dict[str, object] = {
+        label: {key: counters[label][key]
+                for key in ("flushes", "fences",
+                            "flushes_elided", "fences_elided")}
+        for label in _ELISION_LEGS}
+    totals = {label: summary[label]["flushes"] + summary[label]["fences"]
+              for label in _ELISION_LEGS}
+    summary["reduction"] = (1.0 - totals["certified"] / totals["coalesced"]
+                            if totals["coalesced"] else 0.0)
+    summary["elision_reduction"] = (
+        1.0 - totals["certified"] / totals["baseline"]
+        if totals["baseline"] else 0.0)
+    hazard_diags = analyze_trace(probe_log).diagnostics()
+    summary["hazards"] = {
+        "errors": sum(1 for d in hazard_diags if d.severity == "error"),
+        "warnings": sum(1 for d in hazard_diags if d.severity == "warning"),
+    }
+    digests = {label: hashlib.sha256(images[label].tobytes()).hexdigest()
+               for label in _ELISION_LEGS}
+    summary["durable_image_equal"] = (digests["baseline"]
+                                      == digests["certified"])
+    summary["durable_image_sha256"] = digests
+    summary["fsck_clean"] = dict(fsck_clean)
+    summary["certificate"] = cert.to_dict()
+    return summary
+
+
+def flush_elision_line(fe: Mapping[str, Any]) -> str:
+    """The one-line rendering of a :func:`flush_elision_summary`."""
+    return (f"flush elision: clflush+sfence "
+            f"{fe['coalesced']['flushes'] + fe['coalesced']['fences']} "
+            f"(coalesced) -> "
+            f"{fe['certified']['flushes'] + fe['certified']['fences']} "
+            f"({fe['reduction']:.1%} reduction, of which "
+            f"{fe['elision_reduction']:.1%} from the certificate: "
+            f"{fe['certified']['flushes_elided']} flushes + "
+            f"{fe['certified']['fences_elided']} fences elided); "
+            f"durable image equal: {fe['durable_image_equal']}")

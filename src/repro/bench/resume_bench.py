@@ -19,23 +19,22 @@ the deterministic simulator:
   simulated clock give the durable-write amplification and time overhead
   of frame pushes + step checkpoints.
 
-``main()`` prints both tables and writes ``BENCH_resume.json``.
+``run()`` answers both; its result is ``(overhead, rows, golden)``.
 """
 
 from __future__ import annotations
 
 import hashlib
-import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Tuple
 
 from repro.api import Espresso, EspressoConfig
 from repro.errors import SimulatedCrash
 from repro.obs import Observatory
 from repro.runtime.klass import FieldKind, field as kfield
 
-from repro.bench.harness import format_table, write_bench_json
+from repro.bench.harness import Experiment, format_table
 
 #: Steps per iteration: one allocation step + one weigh-call step.
 STEPS_PER_ITERATION = 2
@@ -107,11 +106,8 @@ class OverheadResult:
         return 100.0 * (self.resumable_ms - self.plain_ms) / self.plain_ms
 
 
-def run_overhead(iterations: int = 8,
-                 heap_dir: Optional[Path] = None) -> OverheadResult:
-    root = heap_dir if heap_dir is not None else Path(tempfile.mkdtemp())
-
-    jvm = _session(root / "plain", resumable=False)
+def run_overhead(iterations: int, heap_dir: Path) -> OverheadResult:
+    jvm = _session(heap_dir / "plain", resumable=False)
     heap = jvm.heaps.heap("h")
     since = heap.device.stats.snapshot()
     start = jvm.clock.now_ns
@@ -130,7 +126,7 @@ def run_overhead(iterations: int = 8,
     plain_ms = (jvm.clock.now_ns - start) / 1e6
     plain = heap.device.stats.delta(since).as_dict()
 
-    jvm = _session(root / "resumable", resumable=True)
+    jvm = _session(heap_dir / "resumable", resumable=True)
     since = jvm.heaps.heap("h").device.stats.snapshot()
     start = jvm.clock.now_ns
     assert jvm.resumable_task("build").run(iterations) == total
@@ -158,24 +154,21 @@ class ResumeRow:
         return self.steps_skipped + self.steps_executed
 
 
-def run_resume(iterations: int = 8, stride: int = 5,
-               heap_dir: Optional[Path] = None
-               ) -> tuple[List[ResumeRow], str]:
+def run_resume(iterations: int, stride: int, heap_dir: Path
+               ) -> Tuple[List[ResumeRow], str]:
     """Crash the task every *stride* failpoint hits; resume and account.
 
     Returns the rows plus the golden (uncrashed) image digest every row
     must reproduce.
     """
-    root = heap_dir if heap_dir is not None else Path(tempfile.mkdtemp())
-
-    jvm = _session(root / "golden", resumable=True)
+    jvm = _session(heap_dir / "golden", resumable=True)
     expected = jvm.resumable_task("build").run(iterations)
     golden = _image_hash(jvm)
 
     rows: List[ResumeRow] = []
     hit = stride
     while True:
-        jvm = _session(root / f"hit{hit}", resumable=True)
+        jvm = _session(heap_dir / f"hit{hit}", resumable=True)
         jvm.vm.failpoints.crash_on_global_hit(hit)
         try:
             jvm.resumable_task("build").run(iterations)
@@ -203,9 +196,18 @@ def run_resume(iterations: int = 8, stride: int = 5,
     return rows, golden
 
 
-def main(iterations: int = 8, stride: int = 5) -> None:
-    overhead = run_overhead(iterations)
-    print(format_table(
+ResumeResult = Tuple[OverheadResult, List[ResumeRow], str]
+
+
+def run(iterations: int, stride: int, heap_dir: Path) -> ResumeResult:
+    """The no-crash overhead pair, then the crash/resume stride walk."""
+    return (run_overhead(iterations, heap_dir),
+            *run_resume(iterations, stride, heap_dir))
+
+
+def table(result: ResumeResult) -> str:
+    overhead, rows, golden = result
+    overhead_table = format_table(
         ["Run", "Flushes", "Fences", "Simulated ms"],
         [("plain session", overhead.plain.get("flushes", 0),
           overhead.plain.get("fences", 0), f"{overhead.plain_ms:.3f}"),
@@ -215,12 +217,9 @@ def main(iterations: int = 8, stride: int = 5) -> None:
          ("amplification", f"{overhead.amplification('flushes'):.2f}x",
           f"{overhead.amplification('fences'):.2f}x",
           f"+{overhead.time_overhead_percent:.1f}%")],
-        title="§14 — checkpoint flush overhead (no crash)"))
-
-    rows, golden = run_resume(iterations, stride)
-    total = iterations * STEPS_PER_ITERATION
-    print()
-    print(format_table(
+        title="§14 — checkpoint flush overhead (no crash)")
+    total = overhead.iterations * STEPS_PER_ITERATION
+    resume_table = format_table(
         ["Crash hit", "Frames replayed", "Steps skipped", "Steps executed",
          "Resume ms", "Image match"],
         [(row.crash_hit, row.frames_replayed, row.steps_skipped,
@@ -228,32 +227,59 @@ def main(iterations: int = 8, stride: int = 5) -> None:
           "ok" if row.image_sha256 == golden else "DIVERGED")
          for row in rows],
         title=f"§14 — resume-after-crash accounting "
-              f"({total} steps uncrashed, golden {golden[:12]})"))
+              f"({total} steps uncrashed, golden {golden[:12]})")
+    return f"{overhead_table}\n\n{resume_table}"
 
-    path = write_bench_json("resume", {
-        "iterations": iterations,
-        "steps_total": total,
+
+def check(result: ResumeResult) -> None:
+    overhead, rows, golden = result
+    # The frame protocol costs extra fences (epoch bumps at every
+    # checkpoint) but only a sliver of extra flush traffic on top of the
+    # shared finalize GC + canonicalization.
+    assert overhead.resumable.get("fences", 0) \
+        > overhead.plain.get("fences", 0), \
+        "§14: checkpoints cost extra fences"
+    assert overhead.resumable.get("flushes", 0) \
+        >= overhead.plain.get("flushes", 0), \
+        "§14: checkpoints never flush less than the plain session"
+    assert 0.0 < overhead.time_overhead_percent < 50.0, \
+        "§14: the checkpoint time overhead stays under 50%"
+    assert rows, "§14: the stride never landed inside the task"
+    total = overhead.iterations * STEPS_PER_ITERATION
+    for row in rows:
+        assert row.image_sha256 == golden, \
+            f"§14: a resumed run converges to the golden image " \
+            f"(crash hit {row.crash_hit})"
+        assert 0 <= row.steps_total <= total, \
+            f"§14: skipped + executed never exceeds the full run " \
+            f"(crash hit {row.crash_hit})"
+        # A crash before the first checkpoint has nothing to skip.
+        assert not row.frames_replayed or row.steps_skipped > 0 \
+            or row.steps_executed == total, \
+            f"§14: a replayed frame skips its checkpointed steps " \
+            f"(crash hit {row.crash_hit})"
+    assert any(row.frames_replayed for row in rows), \
+        "§14: at least one mid-task crash exercised real replay"
+
+
+def payload(result: ResumeResult) -> Dict[str, object]:
+    overhead, rows, golden = result
+    return {
+        "iterations": overhead.iterations,
+        "steps_total": overhead.iterations * STEPS_PER_ITERATION,
         "golden_image_sha256": golden,
         "overhead": {
-            "plain": overhead.plain,
-            "resumable": overhead.resumable,
-            "plain_ms": overhead.plain_ms,
-            "resumable_ms": overhead.resumable_ms,
+            **asdict(overhead),
             "flush_amplification": overhead.amplification("flushes"),
             "time_overhead_percent": overhead.time_overhead_percent,
         },
-        "resume": [{
-            "crash_hit": row.crash_hit,
-            "frames_replayed": row.frames_replayed,
-            "steps_skipped": row.steps_skipped,
-            "steps_executed": row.steps_executed,
-            "resume_ms": row.resume_ms,
-            "image_sha256": row.image_sha256,
-            "image_match": row.image_sha256 == golden,
-        } for row in rows],
-    }, params={"iterations": iterations})
-    print(f"wrote {path}")
+        "resume": [{**asdict(row), "image_match": row.image_sha256 == golden}
+                   for row in rows],
+    }
 
 
-if __name__ == "__main__":
-    main()
+EXPERIMENT = Experiment(
+    name="resume", title="§14 — resume-after-crash accounting",
+    run=run, full={"iterations": 8, "stride": 5},
+    ci={"iterations": 6, "stride": 11},
+    table=table, check=check, payload=payload)

@@ -8,7 +8,6 @@ on the identical business state and comparing throughput.
 
 from __future__ import annotations
 
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Optional
@@ -16,7 +15,8 @@ from typing import Dict, Optional
 from repro.obs import Observatory
 from repro.tpcc import TpccResult, run_tpcc
 
-from repro.bench.harness import format_table, write_bench_json
+from repro.bench.harness import (Experiment, flush_elision_line,
+                                 flush_elision_summary, format_table)
 
 
 @dataclass
@@ -38,8 +38,7 @@ class TpccBenchResult:
         return self.jpa.snapshot == self.pjo.snapshot
 
 
-def run(transactions: int = 60, seed: int = 7,
-        heap_dir: Path | None = None,
+def run(transactions: int, heap_dir: Path, seed: int = 7,
         trace: bool = False,
         flush_certified: bool = False) -> TpccBenchResult:
     """``trace=True`` gives each provider its own Observatory so the
@@ -52,30 +51,29 @@ def run(transactions: int = 60, seed: int = 7,
     certificate installed; ``result.flush_elision`` carries the totals,
     the reduction, SHA-256s of both saved heap images and fsck verdicts.
     """
-    root = heap_dir if heap_dir is not None else Path(tempfile.mkdtemp())
-    jpa = run_tpcc("jpa", transactions, seed, root / "jpa",
+    jpa = run_tpcc("jpa", transactions, seed, heap_dir / "jpa",
                    observatory=Observatory() if trace else None)
-    pjo = run_tpcc("pjo", transactions, seed, root / "pjo",
+    pjo = run_tpcc("pjo", transactions, seed, heap_dir / "pjo",
                    observatory=Observatory() if trace else None)
     result = TpccBenchResult(jpa=jpa, pjo=pjo)
     if flush_certified:
         from repro.analysis.elision import PJH_SCOPES, certify_elision
-        probe = run_tpcc("pjo", transactions, seed, root / "pjo-probe",
+        probe = run_tpcc("pjo", transactions, seed, heap_dir / "pjo-probe",
                          record_trace=True)
         cert = certify_elision(
             None, probe.trace,
             scopes=("pjh:tpcc",) + PJH_SCOPES, install=False)
         result.pjo_elided = run_tpcc(
-            "pjo", transactions, seed, root / "pjo-elided",
+            "pjo", transactions, seed, heap_dir / "pjo-elided",
             observatory=Observatory() if trace else None,
             elision_certificate=cert)
         # The pre-PR flush protocol: per-object top persists (no TLABs)
         # and no certificate — PR 2's epoch-coalescing-only baseline the
         # pinned reduction is measured against.
         coalesced = run_tpcc("pjo", transactions, seed,
-                             root / "pjo-coalesced", alloc_buffer_words=0)
+                             heap_dir / "pjo-coalesced", alloc_buffer_words=0)
         result.flush_elision = _flush_elision_summary(
-            root, coalesced, pjo, result.pjo_elided, cert, probe.trace)
+            heap_dir, coalesced, pjo, result.pjo_elided, cert, probe.trace)
     return result
 
 
@@ -93,93 +91,69 @@ def _workload_totals(result: TpccResult) -> Dict[str, int]:
 def _flush_elision_summary(root: Path, coalesced: TpccResult,
                            baseline: TpccResult, elided: TpccResult, cert,
                            probe_log) -> Dict[str, object]:
-    """Flush/fence totals and reductions, plus the safety evidence.
-
-    ``reduction`` (the pinned number) compares the certified run against
-    the *coalesced* leg — PR 2's epoch-coalescing protocol with neither
-    TLABs nor a certificate — so it captures the whole buffered+elided
-    delta.  ``elision_reduction`` isolates the certificate's share
-    (certified vs the buffered-uncertified baseline); that pair runs the
-    identical allocation protocol, so its durable images must match
-    byte for byte.  All PJO runs shut down gracefully, so the evidence
-    compares the *saved* heap images (SHA-256 over the durable bytes on
-    disk) and re-mounts each image for an fsck pass."""
-    import hashlib
-
-    from repro.analysis.hazards import analyze_trace
+    """All PJO runs shut down gracefully, so the evidence compares the
+    *saved* heap images (the durable bytes on disk) and re-mounts each
+    image for an fsck pass."""
     from repro.api import Espresso
     from repro.nvm.namespace import NameManager
     from repro.tools.fsck import fsck_heap
 
-    summary: Dict[str, object] = {
-        "coalesced": _workload_totals(coalesced),
-        "baseline": _workload_totals(baseline),
-        "certified": _workload_totals(elided),
-    }
-    totals = {label: summary[label]["flushes"] + summary[label]["fences"]
-              for label in ("coalesced", "baseline", "certified")}
-    summary["reduction"] = (1.0 - totals["certified"] / totals["coalesced"]
-                            if totals["coalesced"] else 0.0)
-    summary["elision_reduction"] = (
-        1.0 - totals["certified"] / totals["baseline"]
-        if totals["baseline"] else 0.0)
-    hazard_diags = analyze_trace(probe_log).diagnostics()
-    summary["hazards"] = {
-        "errors": sum(1 for d in hazard_diags if d.severity == "error"),
-        "warnings": sum(1 for d in hazard_diags if d.severity == "warning"),
-    }
-    digests: Dict[str, str] = {}
+    images: Dict[str, object] = {}
     fsck_clean: Dict[str, bool] = {}
     for label, subdir in (("coalesced", "pjo-coalesced"),
                           ("baseline", "pjo"),
                           ("certified", "pjo-elided")):
         heap_dir = root / subdir / "pjo"
-        image = NameManager(heap_dir).load_image("tpcc")
-        digests[label] = hashlib.sha256(image.tobytes()).hexdigest()
+        images[label] = NameManager(heap_dir).load_image("tpcc")
         jvm = Espresso(heap_dir)
         jvm.load_heap("tpcc")
         fsck_clean[label] = fsck_heap(jvm.heaps.heap("tpcc")).clean
-    summary["durable_image_equal"] = (digests["baseline"]
-                                      == digests["certified"])
-    summary["durable_image_sha256"] = digests
-    summary["fsck_clean"] = fsck_clean
-    summary["certificate"] = cert.to_dict()
-    return summary
+    return flush_elision_summary(
+        {"coalesced": _workload_totals(coalesced),
+         "baseline": _workload_totals(baseline),
+         "certified": _workload_totals(elided)},
+        images, fsck_clean, cert, probe_log)
 
 
-def main(transactions: int = 60) -> TpccBenchResult:
-    result = run(transactions, trace=True, flush_certified=True)
+def table(result: TpccBenchResult) -> str:
     rows = [
         ("H2-JPA", f"{result.jpa.tx_per_ms:.2f}",
          result.jpa.snapshot["orders"], result.jpa.snapshot["history_rows"]),
         ("H2-PJO", f"{result.pjo.tx_per_ms:.2f}",
          result.pjo.snapshot["orders"], result.pjo.snapshot["history_rows"]),
     ]
-    print(format_table(
+    lines = [format_table(
         ["Provider", "tx/ms", "Orders", "Payments"],
         rows,
-        title=(f"TPCC-lite ({transactions} mixed transactions, seeded) — "
-               f"PJO speedup {result.speedup:.2f}x, states agree: "
-               f"{result.states_agree}")))
+        title=(f"TPCC-lite ({result.jpa.transactions} mixed transactions, "
+               f"seeded) — PJO speedup {result.speedup:.2f}x, states agree: "
+               f"{result.states_agree}"))]
     if result.flush_elision:
-        fe = result.flush_elision
-        print(f"flush elision: clflush+sfence "
-              f"{fe['coalesced']['flushes'] + fe['coalesced']['fences']} "
-              f"(coalesced) -> "
-              f"{fe['certified']['flushes'] + fe['certified']['fences']} "
-              f"({fe['reduction']:.1%} reduction, of which "
-              f"{fe['elision_reduction']:.1%} from the certificate); "
-              f"durable image equal: {fe['durable_image_equal']}")
-    write_bench_json("tpcc", {
-        "transactions": transactions,
+        lines.append(flush_elision_line(result.flush_elision))
+    return "\n".join(lines)
+
+
+def check(result: TpccBenchResult) -> None:
+    assert result.states_agree, \
+        "TPCC-lite: both providers compute the identical business state"
+    assert result.speedup > 1.0, \
+        "TPCC-lite: PJO wins the macro-workload too"
+
+
+def payload(result: TpccBenchResult) -> Dict[str, object]:
+    return {
+        "transactions": result.jpa.transactions,
         "speedup": result.speedup,
         "states_agree": result.states_agree,
         "nvm": {"jpa": result.jpa.nvm, "pjo": result.pjo.nvm},
         "obs": {"jpa": result.jpa.obs, "pjo": result.pjo.obs},
         "flush_elision": result.flush_elision,
-    }, params={"transactions": transactions})
-    return result
+    }
 
 
-if __name__ == "__main__":
-    main()
+EXPERIMENT = Experiment(
+    name="tpcc", title="TPCC-lite macro-benchmark, H2-JPA vs H2-PJO",
+    run=run,
+    full={"transactions": 60, "trace": True, "flush_certified": True},
+    ci={"transactions": 40},
+    table=table, check=check, payload=payload)

@@ -14,6 +14,8 @@ from typing import Callable, Dict, Optional
 from repro.h2.engine import Database
 from repro.jpa.entity_manager import JpaEntityManager
 from repro.nvm.clock import Clock
+from repro.nvm.device import device_counters, snapshot_devices
+from repro.nvm.latency import DEFAULT_LATENCY, LatencyConfig
 from repro.obs import NULL_OBS, Observatory
 from repro.pjo.provider import PjoEntityManager
 
@@ -55,9 +57,10 @@ class TestResult:
     operations: Dict[str, OperationResult] = field(default_factory=dict)
 
 
-def make_jpa_em(clock: Clock, entities,
-                obs: Observatory = NULL_OBS) -> JpaEntityManager:
-    database = Database(size_words=1 << 21, clock=clock, obs=obs)
+def make_jpa_em(clock: Clock, entities, obs: Observatory = NULL_OBS,
+                latency: LatencyConfig = DEFAULT_LATENCY) -> JpaEntityManager:
+    database = Database(size_words=1 << 21, clock=clock, latency=latency,
+                        obs=obs)
     em = JpaEntityManager(database)
     em.create_schema(entities)
     return em
@@ -68,13 +71,12 @@ def make_pjo_em(clock: Clock, entities, heap_dir,
                 deduplication: bool = True,
                 obs: Observatory = NULL_OBS,
                 certify: bool = False,
-                alloc_buffer_words: Optional[int] = None) -> PjoEntityManager:
+                **overrides) -> PjoEntityManager:
+    """*overrides* are :class:`~repro.api.EspressoConfig` fields, e.g.
+    ``alloc_buffer_words=0`` for the per-object §4.1 top-persist protocol
+    (the pre-buffer baseline)."""
     from repro.api import Espresso
-    jvm = Espresso(heap_dir, clock=clock, observatory=obs)
-    if alloc_buffer_words is not None:
-        # Pin the TLAB size before any allocation (0 = the per-object
-        # §4.1 top-persist protocol, the pre-buffer baseline).
-        jvm.vm.alloc_buffer_words = alloc_buffer_words
+    jvm = Espresso(heap_dir, clock=clock, observatory=obs, **overrides)
     jvm.create_heap("jpab", 32 * 1024 * 1024)
     em = PjoEntityManager(jvm, field_tracking=field_tracking,
                           deduplication=deduplication)
@@ -112,8 +114,6 @@ def run_jpab_test(test: JpabTest, em_factory: Callable[[Clock], object],
     it into the provider (see :func:`make_jpa_em` / :func:`make_pjo_em`);
     each operation then carries its span/counter deltas in ``result.obs``.
     """
-    from repro.bench.harness import device_counters, snapshot_devices
-
     clock = Clock()
     em = em_factory(clock)
     driver = CrudDriver(em, test, count)

@@ -119,6 +119,30 @@ class DeviceStats:
         }
 
 
+def snapshot_devices(devices: Dict[str, "MemoryDevice"]
+                     ) -> Dict[str, DeviceStats]:
+    """Capture a snapshot per device, for a later :func:`device_counters`."""
+    return {label: device.stats.snapshot()
+            for label, device in devices.items()}
+
+
+def device_counters(devices: Dict[str, "MemoryDevice"],
+                    since: Optional[Dict[str, DeviceStats]] = None
+                    ) -> Dict[str, Dict[str, int]]:
+    """Per-device counter dicts, optionally as deltas.
+
+    *devices* maps a label (heap or database name) to its device; *since*
+    maps the same labels to snapshots taken before the phase of interest.
+    """
+    out: Dict[str, Dict[str, int]] = {}
+    for label, device in sorted(devices.items()):
+        stats = device.stats
+        if since is not None and label in since:
+            stats = stats.delta(since[label])
+        out[label] = stats.as_dict()
+    return out
+
+
 class MemoryDevice:
     """Common behaviour for simulated word-addressable memory."""
 

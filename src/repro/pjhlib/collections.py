@@ -15,7 +15,8 @@ from typing import Optional
 
 from repro.errors import ArrayIndexOutOfBoundsException, IllegalArgumentException
 from repro.nvm.publish import durable_metadata
-from repro.runtime.klass import FieldKind, Klass, field
+from repro.runtime.klass import (FieldKind, Klass, field,
+                                 java_string_hash)
 from repro.runtime.objects import ObjectHandle
 
 from repro.pjhlib.txn import PjhTransaction
@@ -215,10 +216,7 @@ def _hash_raw(key) -> int:
     :func:`_hash_handle` for the boxed equivalents."""
     if isinstance(key, int):
         return key & 0x7FFF_FFFF
-    h = 0
-    for ch in key:
-        h = (31 * h + ord(ch)) & 0x7FFF_FFFF
-    return h
+    return java_string_hash(key) & 0x7FFF_FFFF
 
 
 def _hash_handle(jvm, handle: ObjectHandle) -> int:
@@ -227,11 +225,7 @@ def _hash_handle(jvm, handle: ObjectHandle) -> int:
     if klass.name == _LONG:
         return jvm.get_field(handle, "value") & 0x7FFF_FFFF
     if klass.name == "java.lang.String":
-        text = jvm.read_string(handle)
-        h = 0
-        for ch in text:
-            h = (31 * h + ord(ch)) & 0x7FFF_FFFF
-        return h
+        return java_string_hash(jvm.read_string(handle)) & 0x7FFF_FFFF
     return handle.address & 0x7FFF_FFFF
 
 

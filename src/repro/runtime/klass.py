@@ -200,3 +200,15 @@ def array_klass_name(element: "Klass | FieldKind") -> str:
 OBJECT_KLASS_NAME = "java.lang.Object"
 STRING_KLASS_NAME = "java.lang.String"
 CHAR_ARRAY_KLASS_NAME = array_klass_name(FieldKind.INT)
+
+
+def java_string_hash(text: str) -> int:
+    """Java's ``String.hashCode()``: ``31 * h + c`` over the characters,
+    wrapped to a signed 32-bit int.  This is what the ``hash`` word of a
+    ``java.lang.String`` holds — never Python's ``hash(text)``, which
+    varies with ``PYTHONHASHSEED`` and would make durable images differ
+    between processes."""
+    h = 0
+    for ch in text:
+        h = (31 * h + ord(ch)) & 0xFFFF_FFFF
+    return h - (1 << 32) if h >= (1 << 31) else h

@@ -41,6 +41,7 @@ from repro.runtime.klass import (
     STRING_KLASS_NAME,
     array_klass_name,
     field,
+    java_string_hash,
 )
 from repro.runtime.metaspace import KlassRegistry, Metaspace
 from repro.runtime.objects import (
@@ -305,7 +306,7 @@ class EspressoVM:
             self.array_set(chars, i, ord(ch))
         string = self.new(self.string_klass)
         self.set_field(string, "value", chars)
-        self.set_field(string, "hash", _to_int64(hash(text)))
+        self.set_field(string, "hash", java_string_hash(text))
         return string
 
     # -- pnew --------------------------------------------------------------
@@ -371,7 +372,7 @@ class EspressoVM:
         address = service.allocate_instance(pklass)
         string = self.handle(address)
         self.set_field(string, "value", chars)
-        self.set_field(string, "hash", _to_int64(hash(text)))
+        self.set_field(string, "hash", java_string_hash(text))
         return string
 
     def _service_for(self, heap: Optional[str]) -> PersistentSpaceService:

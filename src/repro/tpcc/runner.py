@@ -11,6 +11,7 @@ from typing import Dict, Optional
 from repro.h2.engine import Database
 from repro.jpa.entity_manager import JpaEntityManager
 from repro.nvm.clock import Clock
+from repro.nvm.device import device_counters, snapshot_devices
 from repro.obs import NULL_OBS, Observatory
 from repro.pjo.provider import PjoEntityManager
 
@@ -38,17 +39,12 @@ class TpccResult:
 
 
 def _make_em(provider: str, clock: Clock, heap_dir: Path,
-             obs: Observatory = NULL_OBS,
-             alloc_buffer_words: Optional[int] = None):
+             obs: Observatory = NULL_OBS, **overrides):
     if provider == "jpa":
         database = Database(size_words=1 << 22, clock=clock, obs=obs)
         return JpaEntityManager(database)
     from repro.api import Espresso
-    jvm = Espresso(heap_dir, clock=clock, observatory=obs)
-    if alloc_buffer_words is not None:
-        # 0 = the per-object §4.1 top-persist protocol (no TLABs) — the
-        # epoch-coalescing-only baseline the benches compare against.
-        jvm.vm.alloc_buffer_words = alloc_buffer_words
+    jvm = Espresso(heap_dir, clock=clock, observatory=obs, **overrides)
     jvm.create_heap("tpcc", 64 * 1024 * 1024)
     return PjoEntityManager(jvm)
 
@@ -59,7 +55,7 @@ def run_tpcc(provider: str, transactions: int = 60, seed: int = 7,
              observatory: Optional[Observatory] = None,
              record_trace: bool = False,
              elision_certificate=None,
-             alloc_buffer_words: Optional[int] = None) -> TpccResult:
+             **overrides) -> TpccResult:
     """Run a seeded transaction mix; identical seeds produce identical
     business outcomes on either provider (the cross-provider test relies
     on this).  Passing a live *observatory* records per-phase (populate /
@@ -70,15 +66,17 @@ def run_tpcc(provider: str, transactions: int = 60, seed: int = 7,
     before the shutdown persist, so the trace covers exactly the
     workload), and *elision_certificate* installs a
     :class:`~repro.analysis.elision.FlushElisionCertificate` on the
-    session before any population traffic."""
-    from repro.bench.harness import device_counters, snapshot_devices
+    session before any population traffic.  *overrides* are
+    :class:`~repro.api.EspressoConfig` fields for the PJO session, e.g.
+    ``alloc_buffer_words=0`` for the per-object §4.1 top-persist protocol
+    (no TLABs) — the epoch-coalescing-only baseline the benches compare
+    against."""
     from repro.jpab.runner import _nvm_devices
 
     root = heap_dir if heap_dir is not None else Path(tempfile.mkdtemp())
     clock = Clock()
     obs = observatory if observatory is not None else NULL_OBS
-    em = _make_em(provider, clock, root / provider, obs=obs,
-                  alloc_buffer_words=alloc_buffer_words)
+    em = _make_em(provider, clock, root / provider, obs=obs, **overrides)
     if provider == "pjo":
         if elision_certificate is not None:
             em.jvm.vm.elision_certificate = elision_certificate

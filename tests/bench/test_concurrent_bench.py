@@ -1,8 +1,8 @@
-"""Concurrent gang bench: scaling target, envelope schema, determinism."""
+"""Concurrent gang bench: scaling target, payload schema, determinism."""
 
 import json
 
-from repro.bench.concurrent_bench import emit, run, run_scaling
+from repro.bench.concurrent_bench import EXPERIMENT, run, run_scaling
 
 
 def test_throughput_scales_with_gang_width(tmp_path):
@@ -22,20 +22,13 @@ def test_speedup_monotone_in_gang_width(tmp_path):
 
 def test_payload_schema(tmp_path):
     result = run(tmp_path, widths=(1, 4), total_ops=48)
-    path = emit(result, out_dir=tmp_path)
-    with open(path) as fh:
-        payload = json.load(fh)
-    assert payload["bench"] == "concurrent"
-    assert payload["schema_version"] == 1
-    assert payload["params"]["gang_widths"] == [1, 4]
-    assert payload["params"]["total_ops"] == 48
-    assert len(payload["scaling"]) == 2
+    payload = json.loads(json.dumps(EXPERIMENT.payload(result)))
+    assert [row["mutators"] for row in payload["scaling"]] == [1, 4]
     for row in payload["scaling"]:
         assert row["ops"] == 48
         assert row["throughput_ops_per_ms"] > 0
         assert len(row["busy_ns"]) == row["mutators"]
     assert payload["max_speedup"] == payload["scaling"][-1]["speedup"]
-    assert payload["scaling_target_met"] in (True, False)
 
 
 def test_bench_is_deterministic(tmp_path):

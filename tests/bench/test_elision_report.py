@@ -8,16 +8,30 @@ the report CLI must enforce the per-bench gates and emit the JSON.
 import json
 from pathlib import Path
 
+import pytest
+
 from repro.analysis.diagnostics import Baseline
 from repro.analysis.elision import analyze_elision
 from repro.bench.elision_report import (
     COALESCING_BASELINE,
+    assemble_report,
     canonical_fingerprints,
     canonical_trace,
     main,
 )
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
+
+
+@pytest.fixture(scope="module")
+def cli_run(tmp_path_factory):
+    """The one end-to-end ``main()`` call (both benches run once per
+    module): its exit code and the report it wrote."""
+    out = tmp_path_factory.mktemp("elision") / "report.json"
+    rc = main(["--count", "20", "--transactions", "25",
+               "--out", str(out),
+               "--baseline", str(REPO_ROOT / "analysis-baseline.json")])
+    return rc, json.loads(out.read_text())
 
 
 def test_canonical_trace_is_deterministic(tmp_path):
@@ -43,13 +57,9 @@ def test_repo_baseline_covers_the_canonical_fingerprints():
         assert fp in baseline, f"{fp} missing from analysis-baseline.json"
 
 
-def test_report_cli_runs_the_gates_and_writes_json(tmp_path):
-    out = tmp_path / "report.json"
-    rc = main(["--count", "20", "--transactions", "25",
-               "--out", str(out),
-               "--baseline", str(REPO_ROOT / "analysis-baseline.json")])
+def test_report_cli_runs_the_gates_and_writes_json(cli_run):
+    rc, report = cli_run
     assert rc == 0
-    report = json.loads(out.read_text())
     assert report["pass"] is True
     assert report["coalescing_baseline"] == COALESCING_BASELINE
     assert set(report["benches"]) == {"fig17", "tpcc"}
@@ -64,16 +74,13 @@ def test_report_cli_runs_the_gates_and_writes_json(tmp_path):
     assert report["canonical"]["covered"] is True
 
 
-def test_report_cli_fails_on_uncovered_fingerprints(tmp_path):
-    """An empty baseline no longer covers the pass: exit 1, missing
-    fingerprints named in the report."""
+def test_report_cli_fails_on_uncovered_fingerprints(cli_run, tmp_path):
+    """An empty baseline no longer covers the pass: the report fails
+    (``main`` exits 1 on ``pass: false``), missing fingerprints named —
+    assembled from the same bench entries, only the baseline differs."""
     empty = tmp_path / "empty-baseline.json"
     empty.write_text('{"fingerprints": []}\n')
-    out = tmp_path / "report.json"
-    rc = main(["--count", "20", "--transactions", "25",
-               "--out", str(out), "--baseline", str(empty)])
-    assert rc == 1
-    report = json.loads(out.read_text())
+    report = assemble_report(cli_run[1]["benches"], empty)
     assert report["pass"] is False
     assert report["canonical"]["covered"] is False
     assert report["canonical"]["missing_from_baseline"] == \

@@ -1,8 +1,8 @@
-"""Fleet bench: scaling target, envelope schema, determinism."""
+"""Fleet bench: scaling target, payload schema, determinism."""
 
 import json
 
-from repro.bench.fleet_bench import emit, run, run_scaling
+from repro.bench.fleet_bench import EXPERIMENT, run, run_scaling
 
 
 def test_throughput_scales_with_shard_count(tmp_path):
@@ -23,14 +23,8 @@ def test_speedup_monotone_in_shard_count(tmp_path):
 def test_payload_schema_and_recovery(tmp_path):
     result = run(tmp_path, shard_counts=(1, 4), sessions=32, rounds=2,
                  recovery_shards=4)
-    path = emit(result, out_dir=tmp_path)
-    with open(path) as fh:
-        payload = json.load(fh)
-    assert payload["bench"] == "fleet"
-    assert payload["schema_version"] == 1
-    assert payload["params"]["sessions"] == 32
-    assert payload["params"]["shard_counts"] == [1, 4]
-    assert len(payload["scaling"]) == 2
+    payload = json.loads(json.dumps(EXPERIMENT.payload(result)))
+    assert [row["shards"] for row in payload["scaling"]] == [1, 4]
     for row in payload["scaling"]:
         assert row["p99_ns"] >= row["p50_ns"] > 0
         assert row["throughput_ops_per_ms"] > 0

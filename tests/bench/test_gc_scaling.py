@@ -3,13 +3,15 @@
 The worker gang must buy real (simulated) pause reduction — at least 2x
 at 8 workers on the §6.4 gc_cost workload — while leaving the durable
 image untouched at every gang size.  Both halves are pinned here, along
-with the BENCH json emission the CI trend tracking reads.
+with the JSON payload the CI trend tracking reads.
 """
 
 import json
+from dataclasses import replace
 
+from repro.bench import __main__ as bench_main
 from repro.bench.fig18_heap_loading import run as run_fig18
-from repro.bench.gc_cost import main as gc_cost_main, run_scaling
+from repro.bench.gc_cost import EXPERIMENT, run_scaling
 
 
 def test_eight_workers_at_least_halve_the_pause(tmp_path):
@@ -31,9 +33,10 @@ def test_image_digest_identical_across_gang_sizes(tmp_path):
 
 
 def test_gc_cost_main_writes_scaling_json(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("BENCH_OUT_DIR", str(tmp_path))
-    gc_cost_main(object_count=1000)
-    payload = json.loads((tmp_path / "BENCH_gc_scaling.json").read_text())
+    small = replace(EXPERIMENT, full={"object_count": 1000})
+    monkeypatch.setattr(bench_main, "EXPERIMENTS", {"gc_cost": small})
+    assert bench_main.main(["gc_cost", "--json", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / "BENCH_gc_cost.json").read_text())
     assert [row["workers"] for row in payload["scaling"]] == [1, 2, 4, 8]
     assert len({row["image_sha256"] for row in payload["scaling"]}) == 1
     assert payload["scaling"][0]["speedup"] == 1.0

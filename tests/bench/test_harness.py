@@ -1,15 +1,13 @@
 """Tests for the bench harness utilities and result determinism."""
 
 import json
+from dataclasses import replace
 
-import pytest
-
+from repro.bench import __main__ as bench_main
 from repro.bench.harness import (
-    BENCH_SCHEMA_VERSION,
-    bench_payload,
+    Experiment,
     breakdown_percentages,
     format_table,
-    write_bench_json,
 )
 
 
@@ -48,48 +46,41 @@ class TestBreakdownPercentages:
         assert shares == {"x": 0.0, "other": 0.0}
 
 
+def _front_end(monkeypatch, experiment, tmp_path):
+    """Run the front end over a registry holding only *experiment*;
+    returns (exit code, the BENCH json it wrote)."""
+    monkeypatch.setattr(bench_main, "EXPERIMENTS",
+                        {experiment.name: experiment})
+    rc = bench_main.main([experiment.name, "--json", str(tmp_path)])
+    with open(tmp_path / f"BENCH_{experiment.name}.json") as fh:
+        return rc, json.load(fh)
+
+
 class TestBenchPayload:
-    def test_envelope_plus_flat_results(self):
-        payload = bench_payload("demo", {"speedup": 2.0, "rows": [1, 2]},
-                                params={"count": 7})
-        assert payload["bench"] == "demo"
-        assert payload["schema_version"] == BENCH_SCHEMA_VERSION
-        assert payload["params"] == {"count": 7}
-        # result fields stay top-level: migration without field changes
-        assert payload["speedup"] == 2.0
-        assert payload["rows"] == [1, 2]
-
-    def test_params_default_to_empty(self):
-        assert bench_payload("demo", {})["params"] == {}
-
-    def test_reserved_keys_rejected(self):
-        for key in ("bench", "schema_version", "params"):
-            with pytest.raises(ValueError):
-                bench_payload("demo", {key: 1})
-
-    def test_write_bench_json_wraps_envelope(self, tmp_path):
-        path = write_bench_json("demo", {"x": 1}, out_dir=tmp_path,
-                                params={"n": 3})
-        with open(path) as fh:
-            payload = json.load(fh)
-        assert path.endswith("BENCH_demo.json")
-        assert payload["bench"] == "demo"
-        assert payload["schema_version"] == BENCH_SCHEMA_VERSION
-        assert payload["params"] == {"n": 3}
-        assert payload["x"] == 1
+    def test_write_bench_json_wraps_envelope(self, tmp_path, monkeypatch,
+                                             capsys):
+        """``--json`` writes bench + params around the payload, whose
+        fields stay top-level."""
+        demo = Experiment(
+            name="demo", title="Demo", run=lambda heap_dir, n: {"x": n},
+            full={"n": 3}, ci={"n": 1}, table=str,
+            check=lambda result: None, payload=dict)
+        rc, payload = _front_end(monkeypatch, demo, tmp_path)
+        assert rc == 0
+        assert payload == {"bench": "demo", "params": {"n": 3}, "x": 3}
+        assert "== demo: Demo ==" in capsys.readouterr().out
 
     def test_every_bench_writer_shares_the_envelope(self, tmp_path,
-                                                    monkeypatch):
-        """The gc bench (cheapest writer) emits the shared schema."""
-        monkeypatch.setenv("BENCH_OUT_DIR", str(tmp_path))
-        from repro.bench.gc_cost import main
-        main(object_count=60)
-        with open(tmp_path / "BENCH_gc_scaling.json") as fh:
-            payload = json.load(fh)
-        assert payload["bench"] == "gc_scaling"
-        assert payload["schema_version"] == BENCH_SCHEMA_VERSION
-        assert payload["params"] == {"objects": 60}
-        assert payload["scaling"]  # legacy fields untouched
+                                                    monkeypatch, capsys):
+        """A real experiment (gc_cost, the cheapest writer) through the
+        same front end."""
+        from repro.bench.gc_cost import EXPERIMENT
+        small = replace(EXPERIMENT, full={"object_count": 60})
+        _rc, payload = _front_end(monkeypatch, small, tmp_path)
+        assert payload["bench"] == "gc_cost"
+        assert payload["params"] == {"object_count": 60}
+        assert payload["objects"] == 60
+        assert payload["scaling"]  # result fields untouched
 
 
 class TestDeterminism:

@@ -121,6 +121,17 @@ class TestStrings:
     def test_unicode(self, vm):
         assert vm.read_string(vm.new_string("café ☕")) == "café ☕"
 
+    @pytest.mark.parametrize("text, java_hash_code", [
+        ("", 0),
+        ("a", 97),
+        ("hello", 99162322),
+        ("hello world", 1794106052),
+        ("polygenelubricants", -(1 << 31)),   # wraps to Integer.MIN_VALUE
+    ])
+    def test_hash_word_is_java_hash_code(self, vm, text, java_hash_code):
+        """Never Python's per-process ``hash(str)``: the word is durable."""
+        assert vm.get_field(vm.new_string(text), "hash") == java_hash_code
+
 
 class TestTypeChecks:
     def test_instance_of_self(self, vm, person_klass):
