@@ -4,7 +4,7 @@ export PYTHONPATH := src
 .PHONY: check test test-ledger sweep sweep-fast sweep-pytest fsck analyze \
 	analyze-fast lint-persist lint-time obs-report fleet-smoke \
 	concurrent-smoke elision-report experiments bench bench-traced \
-	bench-compare
+	bench-compare bench-ab
 
 # The CI gate: the full static analyzer, the tier-1 suite, a strided
 # smoke pass of every crash sweep (including the fleet fail-over and
@@ -116,3 +116,11 @@ bench-traced:
 #   make bench-compare OLD=before.json NEW=after.json
 bench-compare:
 	$(PYTHON) bench-ledger/compare.py $(OLD) $(NEW)
+
+# Parent vs change, alternating, N pairs on seeds 1..N, with the
+# choosing-metrics verdict per end-to-end metric (tools/bench_ab.py):
+#   make bench-ab BASE=HEAD~1 [W=verify_sweep|all] [N=10]
+W ?= verify_sweep
+N ?= 10
+bench-ab:
+	$(PYTHON) tools/bench_ab.py --base $(BASE) --workload $(W) --pairs $(N)

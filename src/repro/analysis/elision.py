@@ -53,6 +53,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.analysis.diagnostics import Diagnostic, make_diagnostic
+from repro.analysis.events import events_of, lines_of, store_span
 from repro.nvm.device import LINE_WORDS
 
 __all__ = [
@@ -210,8 +211,9 @@ class ElisionReport:
 
 
 def analyze_elision(log) -> ElisionReport:
-    """Replay a :class:`~repro.nvm.persist.PersistEventLog` and prove
-    which flushes/fences were redundant.
+    """Replay a :class:`~repro.nvm.persist.PersistEventLog` (or raw
+    event list, as :func:`~repro.analysis.hazards.analyze_trace` takes)
+    and prove which flushes/fences were redundant.
 
     The proof is conservative: a flush is only flagged when the *same
     line* was already flushed and not stored to since (its durable copy
@@ -221,15 +223,13 @@ def analyze_elision(log) -> ElisionReport:
     report = ElisionReport(trace_name=getattr(log, "name", ""))
     durable_current: set = set()   # lines flushed and untouched since
     flushes_since_fence = 0
-    for event in log.events:
+    for event in events_of(log):
         kind = event[0]
         if kind == "store":
-            offset, count = int(event[1]), int(event[2])
-            first = offset // LINE_WORDS
-            last = (offset + max(count, 1) - 1) // LINE_WORDS
+            offset, count = store_span(event)
             report.stores += 1
-            for line in range(first, last + 1):
-                durable_current.discard(line)
+            durable_current.difference_update(
+                lines_of(offset, max(count, 1), LINE_WORDS))
         elif kind == "flush":
             line = int(event[1])
             report.flushes += 1

@@ -515,58 +515,62 @@ def _param_defaults(func) -> Dict[str, object]:
 # Collection
 # ---------------------------------------------------------------------------
 
-def _collect_functions(source: str, rel: str,
-                       index: _PublishIndex) -> List[ast.AST]:
-    """First pass: find decorated functions so calls can be classified."""
-    tree = ast.parse(source)
-    found = []
-
-    def visit(node: ast.AST) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                for dec in child.decorator_list:
-                    label = _decorator_label(dec, "publish_point")
-                    if label is not None:
-                        index.publish[child.name] = label
-                    label = _decorator_label(dec, "durable_metadata")
-                    if label is not None:
-                        index.metadata[child.name] = label
-            visit(child)
-
-    visit(tree)
-    found.append(tree)
-    return found
+#: One file's function definitions in source order, each with its
+#: qualified name and its depth in the AST.
+_Defs = List[Tuple[ast.AST, str, int]]
 
 
-def _build_functions(tree: ast.Module, rel: str,
-                     index: _PublishIndex) -> List[FunctionInfo]:
-    functions: List[FunctionInfo] = []
+def _function_defs(tree: ast.Module) -> _Defs:
+    found: _Defs = []
 
-    def visit(node: ast.AST, prefix: str) -> None:
+    def visit(node: ast.AST, prefix: str, depth: int) -> None:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 qual = f"{prefix}{child.name}"
-                publish = None
-                metadata = None
-                for dec in child.decorator_list:
-                    publish = publish or _decorator_label(dec, "publish_point")
-                    metadata = metadata or _decorator_label(
-                        dec, "durable_metadata")
-                cfg = _CfgBuilder(child, index)
-                functions.append(FunctionInfo(
-                    path=rel, qualname=qual, name=child.name,
-                    lineno=child.lineno, params=_param_names(child),
-                    defaults=_param_defaults(child),
-                    publish_label=publish, metadata_label=metadata,
-                    blocks=cfg.blocks, entry=0, ret_exit=cfg.RET,
-                    raise_exit=cfg.RAISE, node=child))
-                visit(child, f"{qual}.<locals>.")
+                found.append((child, qual, depth))
+                visit(child, f"{qual}.<locals>.", depth + 1)
             elif isinstance(child, ast.ClassDef):
-                visit(child, f"{prefix}{child.name}.")
-            else:
-                visit(child, prefix)
+                visit(child, f"{prefix}{child.name}.", depth + 1)
+            elif not isinstance(child, ast.expr):   # no def inside one
+                visit(child, prefix, depth + 1)
 
-    visit(tree, "")
+    visit(tree, "", 0)
+    return found
+
+
+def _register_labels(defs: _Defs, index: _PublishIndex) -> None:
+    """Record every decorated function's label under its bare name.
+
+    When one name carries two labels the deeper definition wins, and at
+    equal depth the later one: the order of a breadth-first walk.
+    """
+    for node, _qual, _depth in sorted(defs, key=lambda d: d[2]):
+        for dec in node.decorator_list:
+            label = _decorator_label(dec, "publish_point")
+            if label is not None:
+                index.publish[node.name] = label
+            label = _decorator_label(dec, "durable_metadata")
+            if label is not None:
+                index.metadata[node.name] = label
+
+
+def _build_functions(defs: _Defs, rel: str,
+                     index: _PublishIndex) -> List[FunctionInfo]:
+    functions: List[FunctionInfo] = []
+    for node, qual, _depth in defs:
+        publish = None
+        metadata = None
+        for dec in node.decorator_list:
+            publish = publish or _decorator_label(dec, "publish_point")
+            metadata = metadata or _decorator_label(dec, "durable_metadata")
+        cfg = _CfgBuilder(node, index)
+        functions.append(FunctionInfo(
+            path=rel, qualname=qual, name=node.name,
+            lineno=node.lineno, params=_param_names(node),
+            defaults=_param_defaults(node),
+            publish_label=publish, metadata_label=metadata,
+            blocks=cfg.blocks, entry=0, ret_exit=cfg.RET,
+            raise_exit=cfg.RAISE, node=node))
     return functions
 
 
@@ -1168,29 +1172,22 @@ def analyze_paths(paths: Optional[Sequence[Path]] = None,
         scope = _scope_from_roots(paths)
 
     index = _PublishIndex()
-    parsed: List[Tuple[ast.Module, str]] = []
+    parsed: List[Tuple[_Defs, str]] = []
     for path, rel in scope:
         try:
             source = path.read_text()
             tree = ast.parse(source)
         except (OSError, SyntaxError, ValueError):
             continue
-        parsed.append((tree, rel))
+        defs = _function_defs(tree)
+        parsed.append((defs, rel))
         # Pre-pass: register decorated functions so every file's calls
         # can be classified against the full publish index.
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                for dec in node.decorator_list:
-                    label = _decorator_label(dec, "publish_point")
-                    if label is not None:
-                        index.publish[node.name] = label
-                    label = _decorator_label(dec, "durable_metadata")
-                    if label is not None:
-                        index.metadata[node.name] = label
+        _register_labels(defs, index)
 
     functions: List[FunctionInfo] = []
-    for tree, rel in parsed:
-        functions.extend(_build_functions(tree, rel, index))
+    for defs, rel in parsed:
+        functions.extend(_build_functions(defs, rel, index))
 
     engine = _Engine(functions, index, assumptions, interprocedural)
     engine.run()

@@ -1,79 +1,52 @@
-"""Persist-order hazard analysis over recorded NVM event traces.
+"""Test-only reference for the persist-order hazard replay.
 
-The crash-sweep harness discovers ordering bugs *empirically* by failing
-a run at every epoch boundary.  This pass finds the same bugs from a
-single fault-free run: a :class:`~repro.nvm.persist.PersistEventLog`
-records every store, flush, fence and pointer publish the device saw,
-and a happens-before checker replays the log against three rules:
+This is ``repro.analysis.hazards.analyze_trace`` as it stood before the
+replay was indexed (ISSUE 24), verbatim: every store scans *all*
+publishes for a header overlap, every flush and fence scans *all*
+pending publishes.  It is quadratic and obviously right, which is what a
+reference is for: ``test_hazards_reference.py`` replays random traces
+through this and the production pass and demands equal
+``HazardReport.to_dict()``, findings order included.
 
-* **ESP201 publish-before-persist** — a pointer store became durable at
-  a fence, but the pointed-to object's header lines had not become
-  durable at any *strictly earlier* fence.  Within one epoch the
-  reordered fault model may persist the pointer and drop the header, so
-  same-fence durability is still a hazard; a crash in the window
-  recovers a reference to an uninterpretable object (paper §3.1).
-* **ESP202 fence-less flush** — a line was flushed after the last fence
-  of the trace; under :class:`~repro.nvm.device.FaultMode.REORDERED`
-  that flush is revocable at crash time.
-* **ESP203 write-after-publish** — a published object's header words
-  were rewritten later in the trace and never flushed+fenced again, so
-  the durable image holds a stale header behind a durable pointer.
-* **ESP204 frame-top-before-frame** — the resume protocol's variant of
-  ESP201: a ``("frame", top, frame, words)`` event publishes the
-  persistent stack top, whose target span is the *whole frame record*,
-  not an object header.  Every line of the record must be durable at a
-  strictly earlier fence than the top word.  Frame publishes are exempt
-  from ESP203: checkpoints legitimately rewrite a published frame's
-  slots, and replay never reads a slot the durable ``pc`` has not
-  admitted.
-* **ESP205 racy publish without persist edge** — the concurrent-trace
-  rule.  Multi-mutator traces tag stores, flushes and publishes with the
-  issuing mutator (see :meth:`PersistEventLog.mutator`); the replay then
-  has a *per-mutator program order* in addition to the global order of
-  the recorded schedule.  A publish by mutator M whose target line was
-  last flushed by a different mutator N, with **no fence between N's
-  flush and M's publish**, is racy: the recorded schedule happened to
-  order the flush first, but nothing synchronises the two mutators, so
-  another legal interleaving (or the hardware's write-back timing)
-  orders M's publish before N's flush completes — publish-before-persist
-  in disguise.  The persist edge must be in M's own program order (M
-  flushed the destination itself before linking it — the Zuriel/
-  NVTraverse discipline) or separated from the publish by a global
-  fence.  Lines never flushed before the publish are left to ESP201,
-  which already checks the durability ordering at fence time.
-
-Word offsets in the log are heap-relative, so reports are deterministic
-across runs, ``gc_workers`` and ``mutators`` settings (the mutator
-gang's schedule is seeded, so the trace itself is replayable).
+Only passive data (``HazardReport``, the diagnostic constructors, the
+layout constants) is shared with production; every line that decides
+*which publish a store, flush or fence affects* is duplicated here on
+purpose.  Do not "simplify" this file by importing behaviour from
+``repro.analysis.hazards`` or ``repro.analysis.events``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
-from repro.analysis.diagnostics import Diagnostic, make_diagnostic, sort_key
-from repro.analysis.events import (events_of, lines_of, mutator_tag,
-                                   store_span)
+from repro.analysis.diagnostics import Diagnostic, make_diagnostic
+from repro.analysis.hazards import HazardReport
 from repro.runtime import layout
+
+
+def _lines_of(offset: int, count: int, line_words: int) -> Set[int]:
+    return set(range(offset // line_words,
+                     (offset + count - 1) // line_words + 1))
 
 
 class _Publish:
     """One recorded pointer publish, tracked until it becomes durable."""
 
     __slots__ = ("index", "slot_offset", "target_offset", "slot_line",
-                 "target_lines", "slot_fence", "unpersisted_header",
-                 "rewritten_at", "code")
+                 "target_lines", "slot_fence", "slot_flushed",
+                 "unpersisted_header", "rewritten_at", "code")
 
     def __init__(self, index: int, slot_offset: int, target_offset: int,
-                 target_words: int, line_words: int,
+                 line_words: int, header_words: int,
                  code: str = "ESP201") -> None:
         self.index = index
         self.slot_offset = slot_offset
         self.target_offset = target_offset
         self.slot_line = slot_offset // line_words
-        self.target_lines = set(lines_of(target_offset, target_words,
-                                         line_words))
+        self.target_lines = _lines_of(target_offset, header_words,
+                                      line_words)
         self.slot_fence: Optional[int] = None  # fence no. when durable
+        self.slot_flushed = False  # slot line flushed after the publish
         self.unpersisted_header: Set[int] = set()  # rewritten, not fenced
         self.rewritten_at: Optional[int] = None
         self.code = code
@@ -84,33 +57,6 @@ class _Publish:
             return (f"frame-top {self.slot_offset} -> "
                     f"frame {self.target_offset}")
         return f"slot {self.slot_offset} -> target {self.target_offset}"
-
-
-class HazardReport:
-    """Hazard findings plus trace statistics."""
-
-    def __init__(self, findings: Sequence[Diagnostic],
-                 stats: Dict[str, int]) -> None:
-        self.findings = sorted(findings, key=sort_key)
-        self.stats = dict(stats)
-
-    def diagnostics(self) -> List[Diagnostic]:
-        return list(self.findings)
-
-    @property
-    def clean(self) -> bool:
-        return not self.findings
-
-    def summary(self) -> dict:
-        out = dict(self.stats)
-        out["hazards"] = len(self.findings)
-        return out
-
-    def to_dict(self) -> dict:
-        return {
-            "findings": [d.to_dict() for d in self.findings],
-            "summary": self.summary(),
-        }
 
 
 def analyze_trace(trace, line_words: Optional[int] = None,
@@ -125,7 +71,7 @@ def analyze_trace(trace, line_words: Optional[int] = None,
     (recorded under :meth:`PersistEventLog.mutator`); tagged publishes
     are additionally checked against the ESP205 racy-publish rule.
     """
-    events = events_of(trace)
+    events = list(getattr(trace, "events", trace))
     if line_words is None:
         from repro.nvm.device import LINE_WORDS
         line_words = LINE_WORDS
@@ -138,15 +84,7 @@ def analyze_trace(trace, line_words: Optional[int] = None,
     flushed: Set[int] = set()           # flushed since the last fence
     fence_no = 0
     publishes: List[_Publish] = []
-    # No handler below scans every publish: each looks its publishes up
-    # by the line the event names, so a replay is linear in the trace.
-    # header line -> object publishes whose target header touches it
-    by_header_line: Dict[int, List[_Publish]] = {}
-    # header line -> publishes holding it in their unpersisted_header
-    rewritten: Dict[int, List[_Publish]] = {}
-    # slot line -> publishes whose slot store no flush has covered yet
-    unflushed: Dict[int, List[_Publish]] = {}
-    awaiting_fence: List[_Publish] = []  # slot flushed, not yet fenced
+    pending: List[_Publish] = []        # slot store not yet durable
     # line -> (mutator tag, fence count when the flush was issued); feeds
     # the ESP205 racy-publish check on tagged (concurrent) traces.
     last_flush: Dict[int, Tuple[Optional[int], int]] = {}
@@ -155,40 +93,34 @@ def analyze_trace(trace, line_words: Optional[int] = None,
               "fences": 0, "publishes": 0, "frame_publishes": 0,
               "mutators": 0}
 
-    def tag_of(event: tuple) -> Optional[int]:
-        tag = mutator_tag(event)
-        if tag is not None:
-            mutators_seen.add(tag)
+    def _mutator_tag(event: tuple, untagged_len: int) -> Optional[int]:
+        if len(event) <= untagged_len:
+            return None
+        tag = int(event[untagged_len])
+        mutators_seen.add(tag)
         return tag
 
     for index, event in enumerate(events):
         kind = event[0]
         if kind == "store":
-            offset, count = store_span(event)
-            tag_of(event)
+            offset = int(event[1])
+            count = int(event[2]) if len(event) > 2 else 1
+            _mutator_tag(event, 3)
             counts["stores"] += 1
-            lines = lines_of(offset, count, line_words)
-            dirty.update(lines)
-            # Only a header sharing a line with the store can share a
-            # word with it; the word test still decides, because one
-            # line holds several headers.  (An empty store dirties no
-            # line but can sit inside a header: look on the line it is on.)
-            for line in lines_of(offset, max(count, 1), line_words):
-                for pub in by_header_line.get(line, ()):
-                    if not (offset < pub.target_offset + header_words
-                            and pub.target_offset < offset + count):
-                        continue
+            dirty |= _lines_of(offset, count, line_words)
+            span = range(offset, offset + count)
+            for pub in publishes:
+                header = range(pub.target_offset,
+                               pub.target_offset + header_words)
+                if span.start < header.stop and header.start < span.stop:
                     # A published object's header was rewritten: it must
                     # be flushed+fenced again before the trace ends.
                     pub.rewritten_at = index
-                    for ln in lines:
-                        if (ln in pub.target_lines
-                                and ln not in pub.unpersisted_header):
-                            pub.unpersisted_header.add(ln)
-                            rewritten.setdefault(ln, []).append(pub)
+                    pub.unpersisted_header |= _lines_of(
+                        offset, count, line_words) & pub.target_lines
         elif kind == "flush":
             line = int(event[1])
-            flusher = tag_of(event)
+            flusher = _mutator_tag(event, 2)
             counts["flushes"] += 1
             last_flush[line] = (flusher, fence_no)
             if line in dirty:
@@ -197,15 +129,17 @@ def analyze_trace(trace, line_words: Optional[int] = None,
             # A flush only persists the pointer if it happens after the
             # publish's store; flushes that predate the publish snapshot
             # the old contents and prove nothing about the new pointer.
-            awaiting_fence.extend(unflushed.pop(line, ()))
+            for pub in pending:
+                if pub.slot_line == line:
+                    pub.slot_flushed = True
         elif kind == "fence":
             counts["fences"] += 1
             fence_no += 1
-            # Flushes reach slot lines in any order; findings are
-            # emitted in publish order, as a scan of the publishes would.
-            awaiting_fence.sort(key=lambda pub: pub.index)
-            for pub in awaiting_fence:
+            for pub in list(pending):
+                if not pub.slot_flushed:
+                    continue
                 pub.slot_fence = fence_no
+                pending.remove(pub)
                 # Durability state *before* this fence decides safety:
                 # header and pointer persisting at the same fence may
                 # reorder within the epoch under FaultMode.REORDERED.
@@ -224,21 +158,18 @@ def analyze_trace(trace, line_words: Optional[int] = None,
                         f"earlier durable fence",
                         event_index=pub.index, fence=fence_no,
                         lines=",".join(str(ln) for ln in unsafe)))
-            awaiting_fence = []
             for line in flushed:
                 durable_fence[line] = fence_no
-                for pub in rewritten.pop(line, ()):
-                    pub.unpersisted_header.discard(line)
+            for pub in publishes:
+                pub.unpersisted_header -= flushed
             flushed = set()
         elif kind == "publish":
             counts["publishes"] += 1
-            publisher = tag_of(event)
+            publisher = _mutator_tag(event, 3)
             pub = _Publish(index, int(event[1]), int(event[2]),
-                           header_words, line_words)
+                           line_words, header_words)
             publishes.append(pub)
-            unflushed.setdefault(pub.slot_line, []).append(pub)
-            for line in pub.target_lines:
-                by_header_line.setdefault(line, []).append(pub)
+            pending.append(pub)
             if publisher is not None:
                 # ESP205: every target line flushed before this publish
                 # needs a persist edge to the publisher — same mutator's
@@ -265,13 +196,15 @@ def analyze_trace(trace, line_words: Optional[int] = None,
                         lines=",".join(str(ln) for ln in racy)))
         elif kind == "frame":
             counts["frame_publishes"] += 1
-            tag_of(event)
-            # The target span is the whole frame record, not a header.
+            _mutator_tag(event, 4)
             pub = _Publish(index, int(event[1]), int(event[2]),
-                           int(event[3]), line_words, code="ESP204")
-            # Awaiting its flush only: frame pubs skip the ESP203 rewrite
-            # tracking (checkpoints rewrite published frames by design).
-            unflushed.setdefault(pub.slot_line, []).append(pub)
+                           line_words, header_words, code="ESP204")
+            # The target span is the whole frame record, not a header.
+            pub.target_lines = _lines_of(int(event[2]), int(event[3]),
+                                         line_words)
+            # Pending only: frame pubs skip the ESP203 rewrite tracking
+            # (checkpoints rewrite published frames by design).
+            pending.append(pub)
 
     for line in sorted(flushed):
         findings.append(make_diagnostic(

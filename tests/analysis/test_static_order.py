@@ -10,6 +10,7 @@ entries, and the family-aware ``--update-baseline`` flow refuses to
 baseline error findings.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -20,6 +21,9 @@ import pytest
 
 from repro.analysis.static_order import (
     Assumptions,
+    _function_defs,
+    _PublishIndex,
+    _register_labels,
     analyze_paths,
     load_assumptions,
 )
@@ -102,6 +106,26 @@ def test_fast_mode_keeps_only_intraprocedural_rules():
     for name, code in EXPECTED.items():
         if code in INTRA_RULES:
             assert found.get(name) == {code}
+
+
+def test_same_named_publish_points_deeper_then_later_label_wins():
+    """A call is classified by bare name, so one label must win when two
+    decorated functions share a name: the breadth-first-walk order."""
+    source = (
+        "class Heap:\n"
+        "    @publish_point('method')\n"
+        "    def link(self): pass\n"
+        "    @durable_metadata('first')\n"
+        "    def top(self): pass\n"
+        "if True:\n"
+        "    @durable_metadata('second')\n"
+        "    def top(): pass\n"
+        "@publish_point('module')\n"
+        "def link(): pass\n")
+    index = _PublishIndex()
+    _register_labels(_function_defs(ast.parse(source)), index)
+    assert index.publish == {"link": "method"}      # deeper beats later
+    assert index.metadata == {"top": "second"}      # same depth: later
 
 
 def test_in_tree_durable_subsystems_are_clean():
