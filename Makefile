@@ -2,7 +2,7 @@ PYTHON ?= python
 export PYTHONPATH := src
 
 .PHONY: check test test-ledger sweep sweep-fast sweep-pytest fsck analyze \
-	analyze-fast lint-persist lint-time obs-report fleet-smoke \
+	lint-persist lint-time obs-report fleet-smoke \
 	concurrent-smoke elision-report experiments bench bench-traced \
 	bench-compare bench-ab
 
@@ -45,19 +45,12 @@ concurrent-smoke:
 
 # The full analyzer: AST source lint (ESP3xx) over src/ and examples/,
 # persistent-closure analysis (ESP1xx) of the BasicTest DBPersistable
-# schema, and the static interprocedural persist-order verifier
+# schema, and the static persist-order verifier
 # (ESP5xx) over the durable subsystems, baseline-filtered with the
 # justified-exception file.  Exit 1 on any non-baselined finding —
 # this is what makes `make check` fail on new hazards.
 analyze:
 	$(PYTHON) -m repro.analysis --closure-schema --static-order \
-	  --assumptions analysis-assumptions.json \
-	  --baseline analysis-baseline.json
-
-# Inner-loop variant: skips the closure boot and the interprocedural
-# pass (call summaries, ESP501/ESP505) — seconds, for edit-compile-lint.
-analyze-fast:
-	$(PYTHON) -m repro.analysis --static-order --no-interprocedural \
 	  --assumptions analysis-assumptions.json \
 	  --baseline analysis-baseline.json
 

@@ -1,32 +1,26 @@
 """repro.analysis — static persist-safety analysis for Espresso.
 
-Three cooperating passes behind one CLI (``python -m repro.analysis``,
-``make analyze``), all reporting stable ``ESPxxx`` rule codes through the
-shared :mod:`repro.analysis.diagnostics` framework:
+Four passes behind one CLI (``python -m repro.analysis``, ``make
+analyze``), all reporting stable ``ESPxxx`` rule codes through the shared
+:mod:`repro.analysis.diagnostics` framework:
 
-1. **Persistent-closure analysis** (:mod:`repro.analysis.closure`) — from
-   :class:`~repro.runtime.klass.Klass` / ``FieldDescriptor`` metadata and
-   the ``persistent_type`` registry, compute the transitive closure of
-   every persistable class and classify each REF field as *closed*
-   (provably PJH-only), *escaping* (its declared type can never be
-   persistent) or *open* (depends on the runtime subtype).  Closed class
-   graphs yield a :class:`~repro.analysis.certificate.SafetyCertificate`
-   that licenses the runtime to elide the per-store safety barrier.
-2. **Persist-order hazard analysis** (:mod:`repro.analysis.hazards`) — a
-   happens-before checker over recorded
-   :class:`~repro.nvm.persist.PersistEventLog` traces that flags
-   publish-before-persist windows, fence-less flushes and
-   writes-after-publish with exact epoch/line provenance.
-3. **Source lint** (:mod:`repro.analysis.srclint`) — AST-based rules
-   replacing the historical ``lint-persist``/``lint-time`` regex greps:
-   raw ``clflush``/device-fence calls outside the persist layer, and
-   wall-clock reads outside the simulated clock.
-4. **Flush/fence-elision analysis** (:mod:`repro.analysis.elision`) —
-   replays the same traces to prove which flushes rewrote already-durable
-   bytes and which fences ordered nothing (ESP401/ESP402), issuing a
-   revocable :class:`~repro.analysis.elision.FlushElisionCertificate`
-   that :class:`~repro.nvm.persist.PersistDomain` consumes at
-   ``commit_epoch`` time.
+1. **Persistent closure** (:mod:`repro.analysis.closure`, ESP1xx) —
+   classifies every REF field of a persistable class as *closed*,
+   *escaping* or *open*; closed class graphs yield a
+   :class:`~repro.analysis.certificate.SafetyCertificate` that licenses
+   the runtime to elide the per-store safety barrier.
+2. **Trace replay** (:mod:`repro.analysis.events`) — one walk of a
+   recorded :class:`~repro.nvm.persist.PersistEventLog` yields the
+   persist-order hazards (:mod:`repro.analysis.hazards`, ESP2xx) and the
+   provably redundant flushes and fences (:mod:`repro.analysis.elision`,
+   ESP4xx), whose revocable
+   :class:`~repro.analysis.elision.FlushElisionCertificate`
+   :class:`~repro.nvm.persist.PersistDomain` consumes at commit time.
+3. **Source lint** (:mod:`repro.analysis.srclint`, ESP3xx) — AST rules
+   replacing the historical regex greps.
+4. **Static persist order** (:mod:`repro.analysis.static_order`,
+   ESP5xx) — CFG dataflow with call summaries over the durable
+   subsystems' source, on the call table the lint reads too.
 """
 
 from repro.analysis.certificate import SafetyCertificate

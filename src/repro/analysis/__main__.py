@@ -11,18 +11,17 @@ apply):
   adds the informational ESP102-105).
 * **hazards** — ``--trace FILE`` replays a recorded
   :class:`~repro.nvm.persist.PersistEventLog` through the
-  happens-before checker (ESP201/ESP202/ESP203).
-* **elision** — ``--trace FILE --elision`` additionally replays the same
-  log through the flush/fence-redundancy prover (ESP401/ESP402).
-* **static order** — ``--static-order`` runs the CFG + interprocedural
+  happens-before checker (ESP201-ESP205).
+* **elision** — ``--trace FILE --elision`` also reports the
+  flush/fence redundancy the same replay proves (ESP401/ESP402).
+* **static order** — ``--static-order`` runs the CFG + call-summary
   persist-order verifier (ESP501-505) over the in-tree durable
   subsystems (or ``--paths``); ``--assumptions FILE`` supplies justified
-  suppressions/contracts, ``--no-interprocedural`` keeps only the
-  intra-procedural rules for fast inner-loop runs.
+  suppressions/contracts.
 
 Findings print one per line (``CODE where: message``); ``--json`` emits
 the full report.  A baseline file of finding fingerprints suppresses
-known findings (``--baseline``, refresh with ``--write-baseline``).
+known findings (``--baseline``).
 ``--update-baseline`` regenerates the baseline *family-aware*: only the
 fingerprints of rule families whose passes actually ran are replaced,
 and the update is refused outright while error-severity findings are
@@ -103,28 +102,25 @@ def _run_closure(report: AnalysisReport, verbose: bool) -> None:
                     summary)
 
 
-def _run_hazards(report: AnalysisReport, trace_path: Path) -> None:
-    from repro.analysis.hazards import analyze_trace
+def _run_trace(report: AnalysisReport, trace_path: Path,
+               elision: bool) -> None:
+    """Load the log once and replay it once, for one or both passes."""
+    from repro.analysis.elision import ElisionReport
+    from repro.analysis.events import replay
+    from repro.analysis.hazards import HazardReport
     from repro.nvm.persist import PersistEventLog
-    log = PersistEventLog.load(trace_path)
-    hazards = analyze_trace(log)
-    summary = hazards.summary()
-    summary["trace"] = trace_path.name
-    report.add_pass("hazards", hazards.diagnostics(), summary)
+    seen = replay(PersistEventLog.load(trace_path))
+    passes = {"hazards": HazardReport(seen.hazards, seen.stats)}
+    if elision:
+        passes["elision"] = ElisionReport.of(seen)
+    for name, result in passes.items():
+        summary = result.summary()
+        summary["trace"] = trace_path.name
+        report.add_pass(name, result.diagnostics(), summary)
 
 
-def _run_elision(report: AnalysisReport, trace_path: Path) -> None:
-    from repro.analysis.elision import analyze_elision
-    from repro.nvm.persist import PersistEventLog
-    log = PersistEventLog.load(trace_path)
-    elision = analyze_elision(log)
-    summary = elision.summary()
-    summary["trace"] = trace_path.name
-    report.add_pass("elision", elision.diagnostics(), summary)
-
-
-def _run_static_order(report: AnalysisReport, paths, assumptions_path,
-                      interprocedural: bool) -> None:
+def _run_static_order(report: AnalysisReport, paths,
+                      assumptions_path) -> None:
     from repro.analysis.static_order import (Assumptions, analyze_paths,
                                              load_assumptions)
     if assumptions_path is not None and assumptions_path.exists():
@@ -132,8 +128,7 @@ def _run_static_order(report: AnalysisReport, paths, assumptions_path,
     else:
         assumptions = Assumptions.empty()
     result = analyze_paths(paths=paths, repo_root=_REPO_ROOT,
-                           assumptions=assumptions,
-                           interprocedural=interprocedural)
+                           assumptions=assumptions)
     report.add_pass("static_order", result.diagnostics(), result.summary())
 
 
@@ -201,11 +196,6 @@ def main(argv=None) -> int:
                         help="run the static persist-order verifier "
                              "(ESP501-505) over the in-tree durable "
                              "subsystems, or over --paths when given")
-    parser.add_argument("--no-interprocedural", action="store_true",
-                        help="with --static-order: skip call summaries "
-                             "and the whole-call-graph rules (ESP501 "
-                             "helper resolution, ESP505) for fast "
-                             "inner-loop runs")
     parser.add_argument("--assumptions", type=Path, default=None,
                         metavar="FILE",
                         help="with --static-order: justified suppressions "
@@ -224,13 +214,11 @@ def main(argv=None) -> int:
     parser.add_argument("--baseline", type=Path, default=None, metavar="FILE",
                         help="suppress findings whose fingerprints appear "
                              "in this baseline file")
-    parser.add_argument("--write-baseline", type=Path, default=None,
-                        metavar="FILE",
-                        help="write the current findings' fingerprints as "
-                             "the new baseline and exit 0")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the rule catalogue and exit")
     args = parser.parse_args(argv)
+    if args.elision and args.trace is None:
+        parser.error("--elision needs --trace FILE")
 
     if args.list_rules:
         for code in sorted(RULE_CATALOGUE):
@@ -244,26 +232,14 @@ def main(argv=None) -> int:
     if args.closure_schema:
         _run_closure(report, args.verbose)
     if args.trace is not None:
-        _run_hazards(report, args.trace)
-        if args.elision:
-            _run_elision(report, args.trace)
-    elif args.elision:
-        raise SystemExit("--elision needs --trace FILE")
+        _run_trace(report, args.trace, args.elision)
     if args.static_order:
-        _run_static_order(report, args.paths, args.assumptions,
-                          interprocedural=not args.no_interprocedural)
+        _run_static_order(report, args.paths, args.assumptions)
 
     if args.update_baseline:
         baseline_path = args.baseline \
             or (_REPO_ROOT / "analysis-baseline.json")
         return _update_baseline(report, baseline_path)
-
-    if args.write_baseline is not None:
-        baseline = Baseline.from_report(report)
-        baseline.save(args.write_baseline)
-        print(f"wrote {len(baseline)} fingerprint(s) to "
-              f"{args.write_baseline}")
-        return 0
 
     suppressed = 0
     if args.baseline is not None and args.baseline.exists():

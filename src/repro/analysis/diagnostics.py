@@ -13,7 +13,7 @@ Code ranges:
 * ``ESP2xx`` — persist-order hazards (trace-based happens-before);
 * ``ESP3xx`` — source lint (AST rules over ``src/`` + ``examples/``);
 * ``ESP4xx`` — flush/fence-elision analysis (trace-based redundancy);
-* ``ESP5xx`` — static persist-order verification (CFG + interprocedural
+* ``ESP5xx`` — static persist-order verification (CFG + call-summary
   dataflow over the durable subsystems' source, all paths, no traces).
 """
 
@@ -238,9 +238,6 @@ class Baseline:
     def __contains__(self, fingerprint: str) -> bool:
         return fingerprint in self.fingerprints
 
-    def __len__(self) -> int:
-        return len(self.fingerprints)
-
     @classmethod
     def load(cls, path) -> "Baseline":
         raw = json.loads(Path(path).read_text())
@@ -250,7 +247,3 @@ class Baseline:
         payload = {"fingerprints": sorted(self.fingerprints)}
         Path(path).write_text(json.dumps(payload, indent=2,
                                          sort_keys=True) + "\n")
-
-    @classmethod
-    def from_report(cls, report: AnalysisReport) -> "Baseline":
-        return cls(d.fingerprint for d in report.findings)

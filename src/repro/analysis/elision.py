@@ -1,4 +1,4 @@
-"""Flush/fence-elision analysis and certificates (§17).
+"""Flush/fence-elision analysis and certificates (DESIGN.md §17, §18).
 
 PR 2's epoch coalescing cut fig17 clflush traffic by batching each fence
 epoch's lines and deduplicating within the epoch.  What it cannot see is
@@ -10,8 +10,9 @@ pays a full ``clflush`` + ``sfence`` for a provable no-op.  NVTraverse
 observation — persistence is only needed where the durable copy actually
 differs.
 
-This pass proves the redundancy from a recorded
-:class:`~repro.nvm.persist.PersistEventLog`:
+The same replay of a recorded :class:`~repro.nvm.persist.PersistEventLog`
+that checks the ESP2xx hazards (:func:`repro.analysis.events.replay`)
+proves the redundancy:
 
 * **ESP401** — a line was flushed again with *no store to it* since its
   previous flush: the second ``clflush`` rewrites identical bytes within
@@ -53,8 +54,8 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.analysis.diagnostics import Diagnostic, make_diagnostic
-from repro.analysis.events import events_of, lines_of, store_span
-from repro.nvm.device import LINE_WORDS
+from repro.analysis.events import Replay, replay
+from repro.analysis.hazards import HazardReport
 
 __all__ = [
     "ElisionReport",
@@ -199,6 +200,13 @@ class ElisionReport:
                 redundant=self.redundant_fences))
         return out
 
+    @classmethod
+    def of(cls, seen: Replay, trace_name: str = "") -> "ElisionReport":
+        stats = seen.stats
+        return cls(trace_name, stats["flushes"], stats["fences"],
+                   stats["stores"], seen.redundant_flushes,
+                   seen.redundant_fences)
+
     def certificate(self, scopes: Iterable[str]) -> FlushElisionCertificate:
         return FlushElisionCertificate(
             scopes, trace_name=self.trace_name,
@@ -211,39 +219,15 @@ class ElisionReport:
 
 
 def analyze_elision(log) -> ElisionReport:
-    """Replay a :class:`~repro.nvm.persist.PersistEventLog` (or raw
-    event list, as :func:`~repro.analysis.hazards.analyze_trace` takes)
-    and prove which flushes/fences were redundant.
+    """The ESP4xx verdicts of one :func:`~repro.analysis.events.replay`
+    of a :class:`~repro.nvm.persist.PersistEventLog` or raw event list.
 
     The proof is conservative: a flush is only flagged when the *same
     line* was already flushed and not stored to since (its durable copy
     is current by construction, with no assumption about store values);
     a fence only when no flush at all happened since the previous fence.
     """
-    report = ElisionReport(trace_name=getattr(log, "name", ""))
-    durable_current: set = set()   # lines flushed and untouched since
-    flushes_since_fence = 0
-    for event in events_of(log):
-        kind = event[0]
-        if kind == "store":
-            offset, count = store_span(event)
-            report.stores += 1
-            durable_current.difference_update(
-                lines_of(offset, max(count, 1), LINE_WORDS))
-        elif kind == "flush":
-            line = int(event[1])
-            report.flushes += 1
-            flushes_since_fence += 1
-            if line in durable_current:
-                report.redundant_flushes[line] = (
-                    report.redundant_flushes.get(line, 0) + 1)
-            durable_current.add(line)
-        elif kind == "fence":
-            report.fences += 1
-            if flushes_since_fence == 0:
-                report.redundant_fences += 1
-            flushes_since_fence = 0
-    return report
+    return ElisionReport.of(replay(log), getattr(log, "name", ""))
 
 
 def certify_elision(jvm, trace, scopes: Optional[Iterable[str]] = None,
@@ -251,24 +235,25 @@ def certify_elision(jvm, trace, scopes: Optional[Iterable[str]] = None,
     """Analyze a session's recorded trace and issue (and install) a
     flush-elision certificate.
 
-    Refuses to certify a trace the persist-order hazard pass (ESP201-205)
-    finds errors in: a workload whose publishes already race its flushes
-    must not have *more* flushes removed.  ``scopes`` defaults to every
+    One replay of *trace* yields both verdicts.  Refuses to certify a
+    trace the persist-order hazard pass (ESP201-205) finds errors in: a
+    workload whose publishes already race its flushes must not have
+    *more* flushes removed.  ``scopes`` defaults to every
     mounted heap's data domain plus the PJH-internal domains
     (:data:`PJH_SCOPES`).  With ``install`` the certificate lands on
     ``jvm.vm.elision_certificate``, ``jvm.config.elision_certificate``
     and every mounted heap's persist domain — and through
     :class:`~repro.api.EspressoConfig` it survives ``restart``.
     """
-    from repro.analysis.hazards import analyze_trace
-    hazards = analyze_trace(trace)
+    seen = replay(trace)
+    hazards = HazardReport(seen.hazards, seen.stats)
     errors = [d for d in hazards.diagnostics() if d.severity == "error"]
     if errors:
         raise ValueError(
             f"refusing to certify flush elision: the trace has "
             f"{len(errors)} persist-order hazard error(s), first: "
             f"{errors[0].render()}")
-    report = analyze_elision(trace)
+    report = ElisionReport.of(seen, getattr(trace, "name", ""))
     if scopes is None:
         mounted = jvm.heaps.mounted_names()
         scopes = tuple(f"pjh:{name}" for name in mounted) + PJH_SCOPES

@@ -1,8 +1,7 @@
-"""Decoding of :class:`~repro.nvm.persist.PersistEventLog` tuples.
+"""The persist-event core: one vocabulary, one replay (DESIGN.md §18).
 
-The hazard pass (ESP2xx) and the elision pass (ESP4xx) replay the same
-recorded trace; this is the one place that knows how an event tuple is
-laid out, so the two cannot disagree on what a trace means:
+**Vocabulary.**  A :class:`~repro.nvm.persist.PersistEventLog` records
+tuples of five kinds:
 
 * ``("store", offset[, count])`` — *count* defaults to one word;
 * ``("flush", line)``;
@@ -12,25 +11,76 @@ laid out, so the two cannot disagree on what a trace means:
 
 Concurrent traces append the issuing mutator's index to every kind but
 ``fence`` (see :meth:`PersistEventLog.mutator`).  A two-field store
-cannot carry a tag: its third field would read as the count.
+cannot carry a tag: its third field would read as the count.  The static
+verifier (ESP5xx) abstracts source calls into the same kinds, plus the
+ones a trace never records: flush+fence, undo, transaction begin and
+commit, and an opaque call.  :data:`CALL_KINDS` names the calls; the
+source lint's ESP301/ESP302 read the same table and receiver names.
+
+**Replay.**  :func:`replay` walks a trace once over one line state — dirty
+since its last flush, flushed awaiting a fence, durable at a fence, last
+flushed by which mutator in which epoch, flushed and not stored since —
+and returns both verdicts: the ESP2xx hazards
+(:mod:`repro.analysis.hazards`) and the ESP4xx redundancy
+(:mod:`repro.analysis.elision`).
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+import ast
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Set, Tuple
 
-#: Fields each taggable kind has before the optional mutator tag.
-_UNTAGGED_LEN = {"store": 3, "flush": 2, "publish": 3, "frame": 4}
+from repro.analysis.diagnostics import Diagnostic, make_diagnostic
+from repro.nvm.device import LINE_WORDS
+from repro.runtime import layout
+
+STORE, FLUSH, FENCE, PUBLISH, FRAME = (
+    "store", "flush", "fence", "publish", "frame")
+#: Kinds only the static verifier sees: source calls, not recorded events.
+FLUSH_FENCE, UNDO, TXN_BEGIN, TXN_COMMIT, CALL = (
+    "flush+fence", "undo", "txn-begin", "txn-commit", "call")
+
+#: The raw device flush: ESP301 on any receiver.
+CLFLUSH = "clflush"
+#: Call name -> event kind.  ``flush_words`` is missing on purpose: its
+#: kind depends on its ``fence`` argument, which the verifier evaluates.
+CALL_KINDS: Dict[str, str] = {
+    **dict.fromkeys(("write", "write_block", "fill", "set_field",
+                     "array_set"), STORE),
+    **dict.fromkeys((CLFLUSH, "flush"), FLUSH),
+    **dict.fromkeys(("commit_epoch", "fence", "sfence"), FENCE),
+    **dict.fromkeys(("persist", "persist_all", "flush_reachable",
+                     "flush_object", "flush_field", "flush_array_element"),
+                    FLUSH_FENCE),
+    **dict.fromkeys(("log_slot", "tx_add_range", "tx_add"), UNDO),
+    **dict.fromkeys(("begin", "tx_begin"), TXN_BEGIN),
+    **dict.fromkeys(("commit", "tx_commit"), TXN_COMMIT),
+}
+#: Receiver names (the last name of the chain) of persist domains ...
+DOMAIN_RECEIVERS = frozenset({"persist", "domain", "pd"})
+#: ... and of raw devices, on which ESP302 forbids a fence.
+DEVICE_RECEIVERS = frozenset({"device", "d", "dev"})
 
 
-def events_of(trace) -> list:
-    """The event tuples of a log object or of a raw iterable of them."""
-    return list(getattr(trace, "events", trace))
+def receiver_name(expr: ast.expr) -> str:
+    """The last name of a receiver chain (``self.heap.device`` ->
+    ``device``), or ``"?"`` when it ends in something else."""
+    if isinstance(expr, ast.Attribute):
+        return expr.attr
+    return expr.id if isinstance(expr, ast.Name) else "?"
 
 
-def store_span(event: tuple) -> Tuple[int, int]:
-    """``(offset, count)`` of a store event, in words."""
-    return int(event[1]), int(event[2]) if len(event) > 2 else 1
+def call_kind(attr: str, receiver: str) -> Optional[str]:
+    """The event kind of a ``receiver.attr(...)`` call, or None.
+
+    A ``.flush()`` only counts on a domain or device receiver: a file
+    object's ``fh.flush()`` must stay invisible.
+    """
+    if attr == "flush" and receiver not in DOMAIN_RECEIVERS \
+            and receiver not in DEVICE_RECEIVERS:
+        return None
+    return CALL_KINDS.get(attr)
 
 
 def lines_of(offset: int, count: int, line_words: int) -> range:
@@ -39,7 +89,241 @@ def lines_of(offset: int, count: int, line_words: int) -> range:
                  (offset + count - 1) // line_words + 1)
 
 
-def mutator_tag(event: tuple) -> Optional[int]:
-    """The mutator that issued a store/flush/publish/frame event, if any."""
-    untagged = _UNTAGGED_LEN[event[0]]
-    return int(event[untagged]) if len(event) > untagged else None
+#: Fields each taggable kind has before the optional mutator tag.
+_UNTAGGED_LEN = {STORE: 3, FLUSH: 2, PUBLISH: 3, FRAME: 4}
+
+
+class _Publish:
+    """One recorded pointer publish, tracked until it becomes durable."""
+
+    __slots__ = ("index", "slot_offset", "target_offset", "slot_line",
+                 "target_lines", "slot_fence", "unpersisted_header",
+                 "rewritten_at", "code")
+
+    def __init__(self, index: int, slot_offset: int, target_offset: int,
+                 target_words: int, line_words: int,
+                 code: str = "ESP201") -> None:
+        self.index = index
+        self.slot_offset = slot_offset
+        self.target_offset = target_offset
+        self.slot_line = slot_offset // line_words
+        self.target_lines = set(lines_of(target_offset, target_words,
+                                         line_words))
+        self.slot_fence: Optional[int] = None  # fence no. when durable
+        self.unpersisted_header: Set[int] = set()  # rewritten, not fenced
+        self.rewritten_at: Optional[int] = None
+        self.code = code
+
+    @property
+    def where(self) -> str:
+        if self.code == "ESP204":
+            return (f"frame-top {self.slot_offset} -> "
+                    f"frame {self.target_offset}")
+        return f"slot {self.slot_offset} -> target {self.target_offset}"
+
+
+@dataclass
+class Replay:
+    """What one walk of a trace found."""
+
+    hazards: List[Diagnostic]          # ESP201-205, in emission order
+    stats: Dict[str, int]              # event counts both reports print
+    redundant_flushes: Dict[int, int]  # ESP401: line -> no-op flushes
+    redundant_fences: int              # ESP402: fences after no flush
+
+
+def replay(trace, line_words: Optional[int] = None,
+           header_words: Optional[int] = None) -> Replay:
+    """Walk *trace* — a log object or an iterable of event tuples — once.
+
+    *line_words* defaults to the device's line size, *header_words* to
+    the object header's size.
+    """
+    events = list(getattr(trace, "events", trace))
+    if line_words is None:
+        line_words = LINE_WORDS
+    if header_words is None:
+        header_words = layout.HEADER_WORDS
+
+    hazards: List[Diagnostic] = []
+    # The line state.
+    dirty: Set[int] = set()             # stored since its last flush
+    flushed: Set[int] = set()           # flushed while dirty, not fenced
+    durable_fence: Dict[int, int] = {}  # line -> fence no. of last persist
+    # line -> (mutator tag, fence count when the flush was issued); feeds
+    # the ESP205 racy-publish check on tagged (concurrent) traces.
+    last_flush: Dict[int, Tuple[Optional[int], int]] = {}
+    current: Set[int] = set()           # flushed, not stored since
+    fence_no = 0
+    flush_since_fence = False
+    redundant_flushes: Dict[int, int] = {}
+    redundant_fences = 0
+    publishes: List[_Publish] = []
+    # No handler below scans every publish: each looks its publishes up
+    # by the line the event names, so a replay is linear in the trace.
+    # header line -> object publishes whose target header touches it
+    by_header_line: Dict[int, List[_Publish]] = {}
+    # header line -> publishes holding it in their unpersisted_header
+    rewritten: Dict[int, List[_Publish]] = {}
+    # slot line -> publishes whose slot store no flush has covered yet
+    unflushed: Dict[int, List[_Publish]] = {}
+    awaiting_fence: List[_Publish] = []  # slot flushed, not yet fenced
+    mutators_seen: Set[int] = set()
+    counts = {"events": len(events), "stores": 0, "flushes": 0,
+              "fences": 0, "publishes": 0, "frame_publishes": 0,
+              "mutators": 0}
+
+    def tag_of(event: tuple) -> Optional[int]:
+        untagged = _UNTAGGED_LEN[event[0]]
+        if len(event) <= untagged:
+            return None
+        tag = int(event[untagged])
+        mutators_seen.add(tag)
+        return tag
+
+    for index, event in enumerate(events):
+        kind = event[0]
+        if kind == STORE:
+            offset = int(event[1])
+            count = int(event[2]) if len(event) > 2 else 1
+            tag_of(event)
+            counts["stores"] += 1
+            lines = lines_of(offset, count, line_words)
+            dirty.update(lines)
+            # An empty store still names the line it sits on: that line's
+            # durable copy becomes suspect, and the store can sit inside a
+            # header.
+            touched = lines_of(offset, max(count, 1), line_words)
+            current.difference_update(touched)
+            # Only a header sharing a line with the store can share a
+            # word with it; the word test still decides, because one
+            # line holds several headers.
+            for line in touched:
+                for pub in by_header_line.get(line, ()):
+                    if not (offset < pub.target_offset + header_words
+                            and pub.target_offset < offset + count):
+                        continue
+                    # A published object's header was rewritten: it must
+                    # be flushed+fenced again before the trace ends.
+                    pub.rewritten_at = index
+                    for ln in lines:
+                        if (ln in pub.target_lines
+                                and ln not in pub.unpersisted_header):
+                            pub.unpersisted_header.add(ln)
+                            rewritten.setdefault(ln, []).append(pub)
+        elif kind == FLUSH:
+            line = int(event[1])
+            flusher = tag_of(event)
+            counts["flushes"] += 1
+            last_flush[line] = (flusher, fence_no)
+            flush_since_fence = True
+            if line in current:
+                redundant_flushes[line] = redundant_flushes.get(line, 0) + 1
+            current.add(line)
+            if line in dirty:
+                dirty.discard(line)
+                flushed.add(line)
+            # A flush only persists the pointer if it happens after the
+            # publish's store; flushes that predate the publish snapshot
+            # the old contents and prove nothing about the new pointer.
+            awaiting_fence.extend(unflushed.pop(line, ()))
+        elif kind == FENCE:
+            counts["fences"] += 1
+            fence_no += 1
+            if not flush_since_fence:
+                redundant_fences += 1
+            flush_since_fence = False
+            # Flushes reach slot lines in any order; findings are
+            # emitted in publish order, as a scan of the publishes would.
+            awaiting_fence.sort(key=lambda pub: pub.index)
+            for pub in awaiting_fence:
+                pub.slot_fence = fence_no
+                # Durability state *before* this fence decides safety:
+                # header and pointer persisting at the same fence may
+                # reorder within the epoch under FaultMode.REORDERED.  A
+                # line no store of the trace touched was durable before
+                # the trace began (fence 0).
+                unsafe = sorted(ln for ln in pub.target_lines
+                                if ln not in durable_fence
+                                and (ln in dirty or ln in flushed))
+                if unsafe:
+                    what = ("frame-top" if pub.code == "ESP204"
+                            else "pointer")
+                    target = ("frame record" if pub.code == "ESP204"
+                              else "target header")
+                    hazards.append(make_diagnostic(
+                        pub.code, pub.where,
+                        f"{what} became durable at fence {fence_no} but "
+                        f"{target} line(s) "
+                        f"{', '.join(str(ln) for ln in unsafe)} had no "
+                        f"earlier durable fence",
+                        event_index=pub.index, fence=fence_no,
+                        lines=",".join(str(ln) for ln in unsafe)))
+            awaiting_fence = []
+            for line in flushed:
+                durable_fence[line] = fence_no
+                for pub in rewritten.pop(line, ()):
+                    pub.unpersisted_header.discard(line)
+            flushed = set()
+        elif kind == PUBLISH:
+            counts["publishes"] += 1
+            publisher = tag_of(event)
+            pub = _Publish(index, int(event[1]), int(event[2]),
+                           header_words, line_words)
+            publishes.append(pub)
+            unflushed.setdefault(pub.slot_line, []).append(pub)
+            for line in pub.target_lines:
+                by_header_line.setdefault(line, []).append(pub)
+            if publisher is not None:
+                # ESP205: every target line flushed before this publish
+                # needs a persist edge to the publisher — same mutator's
+                # program order, or a global fence after the flush.
+                racy = sorted(
+                    line for line in pub.target_lines
+                    if line in last_flush
+                    and last_flush[line][0] is not None
+                    and last_flush[line][0] != publisher
+                    and last_flush[line][1] == fence_no)
+                if racy:
+                    others = sorted({last_flush[line][0] for line in racy})
+                    hazards.append(make_diagnostic(
+                        "ESP205", pub.where,
+                        f"mutator {publisher} published a pointer whose "
+                        f"target line(s) "
+                        f"{', '.join(str(ln) for ln in racy)} were flushed "
+                        f"only by mutator(s) "
+                        f"{', '.join(str(m) for m in others)} with no "
+                        f"fence between the flush and the publish — no "
+                        f"persist edge orders the flush before the "
+                        f"publish under other interleavings",
+                        event_index=index, mutator=publisher,
+                        lines=",".join(str(ln) for ln in racy)))
+        elif kind == FRAME:
+            counts["frame_publishes"] += 1
+            tag_of(event)
+            # The target span is the whole frame record, not a header.
+            pub = _Publish(index, int(event[1]), int(event[2]),
+                           int(event[3]), line_words, code="ESP204")
+            # Awaiting its flush only: frame pubs skip the ESP203 rewrite
+            # tracking (checkpoints rewrite published frames by design).
+            unflushed.setdefault(pub.slot_line, []).append(pub)
+
+    for line in sorted(flushed):
+        hazards.append(make_diagnostic(
+            "ESP202", f"line {line}",
+            f"flushed after the last fence of the trace (fence "
+            f"{fence_no}); the flush is revocable under the reordered "
+            f"fault model", fence=fence_no))
+    counts["mutators"] = len(mutators_seen)
+    for pub in publishes:
+        if pub.slot_fence is not None and pub.unpersisted_header:
+            bad = sorted(pub.unpersisted_header)
+            hazards.append(make_diagnostic(
+                "ESP203", pub.where,
+                f"header line(s) {', '.join(str(ln) for ln in bad)} "
+                f"rewritten at event {pub.rewritten_at} after the "
+                f"pointer became durable (fence {pub.slot_fence}) and "
+                f"never re-persisted",
+                event_index=pub.rewritten_at,
+                lines=",".join(str(ln) for ln in bad)))
+    return Replay(hazards, counts, redundant_flushes, redundant_fences)

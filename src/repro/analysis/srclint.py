@@ -7,10 +7,12 @@ expressions are flagged:
 * **ESP301** — any ``clflush(...)`` call: the primitive belongs to the
   device layer; durable subsystems route flushes through
   :class:`repro.nvm.persist.PersistDomain`.
-* **ESP302** — ``device.fence(...)`` / ``d.fence(...)`` (including
-  ``self.device.fence(...)``): a bare sfence bypasses the domain's epoch
-  bookkeeping.  ``domain.fence()`` / ``heap.fence()`` stay legal — they
-  drain the open epoch first.
+* **ESP302** — a fence call (``fence`` / ``sfence`` / ``commit_epoch``)
+  on a device receiver — ``device``, ``dev`` or ``d`` as the last name of
+  the chain, so ``self.d.fence()`` too: a bare sfence bypasses the
+  domain's epoch bookkeeping.  ``domain.fence()`` / ``heap.fence()`` stay
+  legal — they drain the open epoch first.  Both rules read the call
+  table of :mod:`repro.analysis.events`, as the ESP5xx verifier does.
 * **ESP303** — wall-clock reads (``time.time``/``time_ns``,
   ``time.monotonic``/``_ns``, ``time.perf_counter``/``_ns``,
   ``datetime.now``/``utcnow``): every timestamp must come from
@@ -44,6 +46,8 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.diagnostics import Diagnostic, make_diagnostic
+from repro.analysis.events import (CLFLUSH, DEVICE_RECEIVERS, FENCE,
+                                   call_kind, receiver_name)
 
 #: The rule families behind ``make lint-persist`` / ``make lint-time``.
 PERSIST_RULES = ("ESP301", "ESP302")
@@ -116,34 +120,21 @@ class _CallScanner(ast.NodeVisitor):
 
     def visit_Call(self, node: ast.Call) -> None:
         func = node.func
-        if "ESP301" in self.rules:
-            if (isinstance(func, ast.Name) and func.id == "clflush") or \
-                    (isinstance(func, ast.Attribute)
-                     and func.attr == "clflush"):
-                self._hit(node, "ESP301", "raw clflush call")
-        if "ESP302" in self.rules and isinstance(func, ast.Attribute) \
-                and func.attr == "fence":
-            receiver = func.value
-            if isinstance(receiver, ast.Name) and receiver.id == "device":
-                self._hit(node, "ESP302", "raw fence on a device")
-            elif isinstance(receiver, ast.Name) and receiver.id == "d":
-                self._hit(node, "ESP302", "raw fence on a device alias")
-            elif isinstance(receiver, ast.Attribute) \
-                    and receiver.attr == "device":
-                self._hit(node, "ESP302", "raw fence on a device")
-        if "ESP303" in self.rules and isinstance(func, ast.Attribute):
-            receiver = func.value
-            receiver_name = receiver.id if isinstance(receiver, ast.Name) \
-                else (receiver.attr if isinstance(receiver, ast.Attribute)
-                      else None)
-            if receiver_name == "time" and func.attr in _WALLCLOCK_TIME:
-                self._hit(node, "ESP303", _WALLCLOCK_TIME[func.attr])
-            elif receiver_name == "datetime" \
-                    and func.attr in ("now", "utcnow"):
-                self._hit(node, "ESP303", "wall-clock datetime.now")
-        if "ESP306" in self.rules and isinstance(func, ast.Attribute) \
-                and func.attr == "divert":
-            self._hit(node, "ESP306", "raw Clock.divert call")
+        if "ESP301" in self.rules and CLFLUSH in (
+                getattr(func, "id", None), getattr(func, "attr", None)):
+            self._hit(node, "ESP301", "raw clflush call")
+        if isinstance(func, ast.Attribute):
+            attr, receiver = func.attr, receiver_name(func.value)
+            if "ESP302" in self.rules and receiver in DEVICE_RECEIVERS \
+                    and call_kind(attr, receiver) == FENCE:
+                self._hit(node, "ESP302", f"raw {attr} on a device")
+            if "ESP303" in self.rules:
+                if receiver == "time" and attr in _WALLCLOCK_TIME:
+                    self._hit(node, "ESP303", _WALLCLOCK_TIME[attr])
+                elif receiver == "datetime" and attr in ("now", "utcnow"):
+                    self._hit(node, "ESP303", "wall-clock datetime.now")
+            if "ESP306" in self.rules and attr == "divert":
+                self._hit(node, "ESP306", "raw Clock.divert call")
         self.generic_visit(node)
 
 

@@ -1,32 +1,29 @@
-"""Static interprocedural persist-order verifier: the ESP5xx rules.
+"""Static persist-order verifier: the ESP5xx rules.
 
 Where the ESP2xx hazard passes replay *recorded* ``PersistEventLog``
 traces (certifying only the interleavings a sweep happened to execute),
 this pass proves persist-order discipline over **every path through the
 source**: it parses the durable subsystems (no execution), builds a
 control-flow graph per function, classifies each call expression into an
-abstract NVM event, and runs a path-sensitive dataflow with
-interprocedural summaries.
+abstract NVM event, and runs a path-sensitive dataflow with per-function
+summaries over the call graph.
 
 Modeled API surface
 -------------------
 
-* **stores** — ``device.write`` / ``write_block`` / ``fill`` and the
-  handle-level ``set_field`` / ``array_set``;
-* **flushes** — ``PersistDomain.flush``, ``device.clflush``,
-  ``flush_words(..., fence=False)``;
-* **durability points** — ``PersistDomain.commit_epoch`` / ``fence`` /
-  ``persist``, ``flush_words(..., fence=True)``, the single-fence flush
-  APIs (``flush_reachable`` / ``flush_object`` / ``flush_field`` /
-  ``flush_array_element``), and ``with domain.epoch():`` block exits;
+:data:`repro.analysis.events.CALL_KINDS` (the table the source lint
+reads too) maps calls onto the trace passes' event kinds: stores, flushes
+(``flush_words(..., fence=False)`` too), durability points
+(``flush_words(..., fence=True)`` and ``with domain.epoch():`` block
+exits too), undo logging and transaction brackets.  On top of the table:
+
 * **publish points** — calls to functions carrying the
   :func:`repro.nvm.publish.publish_point` decorator (``set_root``,
   ``set_frame_top``, ``set_name_table_count``, the concurrent map's
   CAS-link/unlink helpers, ...), detected syntactically;
-* **undo coverage** — ``log_slot`` / ``tx_add_range`` / ``tx_begin`` /
-  ``begin`` / ``commit`` and transaction ``with`` blocks, consumed by
-  functions carrying the :func:`repro.nvm.publish.durable_metadata`
-  decorator.
+* **undo coverage** — the table's undo and transaction calls and
+  transaction ``with`` blocks, consumed by functions carrying the
+  :func:`repro.nvm.publish.durable_metadata` decorator.
 
 Rules
 -----
@@ -71,6 +68,9 @@ from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, \
     Sequence, Set, Tuple
 
 from repro.analysis.diagnostics import Diagnostic, make_diagnostic
+from repro.analysis.events import (CALL, FENCE, FLUSH, FLUSH_FENCE, PUBLISH,
+                                   STORE, TXN_BEGIN, TXN_COMMIT, UNDO,
+                                   call_kind, receiver_name)
 
 __all__ = [
     "Assumptions",
@@ -97,36 +97,12 @@ MAX_FIXPOINT_ROUNDS = 12
 # Abstract events
 # ---------------------------------------------------------------------------
 
-K_STORE = "store"
-K_FLUSH = "flush"
-K_FENCE = "fence"
-K_FLUSH_FENCE = "flush+fence"
-K_PUBLISH = "publish"
-K_UNDO = "undo"
-K_TXN_BEGIN = "txn-begin"
-K_TXN_COMMIT = "txn-commit"
-K_CALL = "call"
-
-_STORE_ATTRS = frozenset({"write", "write_block", "fill",
-                          "set_field", "array_set"})
-_FLUSH_FENCE_ATTRS = frozenset({"persist", "persist_all", "flush_reachable",
-                                "flush_object", "flush_field",
-                                "flush_array_element"})
-_FENCE_ATTRS = frozenset({"commit_epoch", "fence", "sfence"})
-_UNDO_ATTRS = frozenset({"log_slot", "tx_add_range", "tx_add"})
-_TXN_BEGIN_ATTRS = frozenset({"begin", "tx_begin"})
-_TXN_COMMIT_ATTRS = frozenset({"commit", "tx_commit"})
-#: ``.flush(...)`` only counts when the receiver looks like a persist
-#: domain — bare ``fh.flush()`` on a file object must stay invisible.
-_FLUSH_RECEIVERS = frozenset({"persist", "domain", "pd"})
-
-
 class Op(NamedTuple):
     """One abstract event at a source line.
 
     ``name`` is the receiver chain for primitives, the callee symbol for
     calls, the publish label for publishes.  ``args`` carries the
-    call-site binding for :data:`K_CALL`: a tuple of
+    call-site binding for a :data:`~repro.analysis.events.CALL`: a tuple of
     ``(param_position_or_kwarg, value)`` where value is ``True``,
     ``False``, ``("param", name)`` for a bare caller-parameter, or
     ``None`` for anything the engine cannot evaluate.
@@ -153,10 +129,6 @@ def _dotted(expr: ast.expr) -> str:
 
 def _terminal(dotted: str) -> str:
     return dotted.rsplit(".", 1)[-1]
-
-
-def _is_device_recv(dotted: str) -> bool:
-    return _terminal(dotted) in ("device", "d", "dev")
 
 
 def _literal_or_param(node: Optional[ast.expr]):
@@ -191,12 +163,9 @@ def _kwarg(call: ast.Call, name: str) -> Optional[ast.expr]:
     return None
 
 
-class _PublishIndex:
-    """Name -> label maps for decorator-marked functions, built per run."""
-
-    def __init__(self) -> None:
-        self.publish: Dict[str, str] = {}
-        self.metadata: Dict[str, str] = {}
+#: Bare function name -> label of the ``@publish_point`` it carries,
+#: built per run.
+_PublishIndex = Dict[str, str]
 
 
 def _decorator_label(dec: ast.expr, marker: str) -> Optional[str]:
@@ -227,38 +196,20 @@ def _classify_call(call: ast.Call, index: _PublishIndex) -> Optional[Op]:
                 fence = True                     # signature default
             elif fence is None and len(call.args) >= 3:
                 fence = _literal_or_param(call.args[2])
-            if fence is True:
-                return Op(K_FLUSH_FENCE, line, recv)
-            if fence is False:
-                return Op(K_FLUSH, line, recv)
-            # Parameter-dependent or unevaluable: model as a plain flush
+            # False, parameter-dependent or unevaluable: a plain flush
             # (conservative: the fence is not guaranteed on this path).
-            return Op(K_FLUSH, line, recv)
-        if attr in _FLUSH_FENCE_ATTRS:
-            return Op(K_FLUSH_FENCE, line, recv)
-        if attr in _FENCE_ATTRS:
-            return Op(K_FENCE, line, recv)
-        if attr == "clflush":
-            return Op(K_FLUSH, line, recv)
-        if attr == "flush" and (_terminal(recv) in _FLUSH_RECEIVERS
-                                or _is_device_recv(recv)):
-            return Op(K_FLUSH, line, recv)
-        if attr in _STORE_ATTRS:
-            return Op(K_STORE, line, recv)
-        if attr in _UNDO_ATTRS:
-            return Op(K_UNDO, line, recv)
-        if attr in _TXN_BEGIN_ATTRS:
-            return Op(K_TXN_BEGIN, line, recv)
-        if attr in _TXN_COMMIT_ATTRS:
-            return Op(K_TXN_COMMIT, line, recv)
+            return Op(FLUSH_FENCE if fence is True else FLUSH, line, recv)
+        kind = call_kind(attr, receiver_name(func.value))
+        if kind is not None:
+            return Op(kind, line, recv)
         symbol = attr
     elif isinstance(func, ast.Name):
         symbol = func.id
     else:
         return None
-    if symbol in index.publish:
-        return Op(K_PUBLISH, line, symbol)
-    return Op(K_CALL, line, symbol, _call_binding(call))
+    if symbol in index:
+        return Op(PUBLISH, line, symbol)
+    return Op(CALL, line, symbol, _call_binding(call))
 
 
 def _stmt_ops(stmt: ast.stmt, index: _PublishIndex) -> List[Op]:
@@ -443,15 +394,15 @@ class _CfgBuilder:
             else:
                 self.blocks[cur].ops.extend(_stmt_ops_expr(expr, self.index))
         if txn:
-            self.blocks[cur].ops.append(Op(K_TXN_BEGIN, stmt.lineno, "with"))
+            self.blocks[cur].ops.append(Op(TXN_BEGIN, stmt.lineno, "with"))
         end = self._build(stmt.body, cur)
         if end is None:
             return None
         for recv in epoch_recvs:
             # `with domain.epoch():` commits the epoch on exit.
-            self.blocks[end].ops.append(Op(K_FENCE, stmt.lineno, recv))
+            self.blocks[end].ops.append(Op(FENCE, stmt.lineno, recv))
         if txn:
-            self.blocks[end].ops.append(Op(K_TXN_COMMIT, stmt.lineno, "with"))
+            self.blocks[end].ops.append(Op(TXN_COMMIT, stmt.lineno, "with"))
         return end
 
     def _try(self, stmt: ast.Try, cur: int) -> Optional[int]:
@@ -539,7 +490,7 @@ def _function_defs(tree: ast.Module) -> _Defs:
 
 
 def _register_labels(defs: _Defs, index: _PublishIndex) -> None:
-    """Record every decorated function's label under its bare name.
+    """Record every publish point's label under its bare name.
 
     When one name carries two labels the deeper definition wins, and at
     equal depth the later one: the order of a breadth-first walk.
@@ -548,10 +499,7 @@ def _register_labels(defs: _Defs, index: _PublishIndex) -> None:
         for dec in node.decorator_list:
             label = _decorator_label(dec, "publish_point")
             if label is not None:
-                index.publish[node.name] = label
-            label = _decorator_label(dec, "durable_metadata")
-            if label is not None:
-                index.metadata[node.name] = label
+                index[node.name] = label
 
 
 def _build_functions(defs: _Defs, rel: str,
@@ -575,7 +523,7 @@ def _build_functions(defs: _Defs, rel: str,
 
 
 # ---------------------------------------------------------------------------
-# Interprocedural summaries
+# Call summaries
 # ---------------------------------------------------------------------------
 
 #: leaves_pending modes
@@ -589,11 +537,6 @@ class Summary:
     fences_always: bool = False    # every return path saw a fence
     leaves_pending: str = P_NO     # P_NO / P_ALWAYS / P_MAYBE
     pending_iff: Optional[str] = None  # pending only when this param is falsy
-    publishes: bool = False
-
-    def key(self) -> tuple:
-        return (self.provides_guard, self.provides_flush, self.fences_always,
-                self.leaves_pending, self.pending_iff, self.publishes)
 
 
 class State(NamedTuple):
@@ -635,12 +578,10 @@ class _Engine:
     """One analysis run over a collected set of functions."""
 
     def __init__(self, functions: List[FunctionInfo], index: _PublishIndex,
-                 assumptions: "Assumptions",
-                 interprocedural: bool) -> None:
+                 assumptions: "Assumptions") -> None:
         self.functions = functions
         self.index = index
         self.assumptions = assumptions
-        self.interprocedural = interprocedural
         self.by_name: Dict[str, List[FunctionInfo]] = {}
         for info in functions:
             self.by_name.setdefault(info.name, []).append(info)
@@ -657,19 +598,16 @@ class _Engine:
         for info in functions:
             for block in info.blocks:
                 for op in block.ops:
-                    if op.kind == K_CALL:
+                    if op.kind == CALL:
                         self.called_names.add(op.name)
-                    elif op.kind == K_PUBLISH:
+                    elif op.kind == PUBLISH:
                         self.called_names.update(
-                            n for n, lbl in index.publish.items()
+                            n for n, lbl in index.items()
                             if lbl == op.name)
         self.findings: List[Diagnostic] = []
         self._finding_keys: Set[tuple] = set()
 
     # -- call effects ----------------------------------------------------
-    def _candidates(self, symbol: str) -> List[FunctionInfo]:
-        return self.by_name.get(symbol, [])
-
     def _call_pending(self, op: Op, info: FunctionInfo,
                       cand: FunctionInfo) -> object:
         """Does calling *cand* at this site leave pending flushes?
@@ -706,16 +644,7 @@ class _Engine:
 
     def _apply_call(self, op: Op, state: State,
                     info: FunctionInfo) -> List[State]:
-        if not self.interprocedural:
-            # No summaries: an opaque call *may* fence (many in-tree
-            # helpers do), so clear pending optimistically — fast mode
-            # only reports ESP503 for flushes still pending on a
-            # call-free suffix, trading recall for zero structural FPs.
-            if state.pending_own or state.pending_call:
-                return [state._replace(pending_own=_NO_PENDING,
-                                       pending_call=_NO_PENDING)]
-            return [state]
-        cands = self._candidates(op.name)
+        cands = self.by_name.get(op.name, [])
         if not cands:
             return [state]
         guard_all = all(self.summaries[c.where].provides_guard
@@ -760,7 +689,7 @@ class _Engine:
 
     # -- op transfer -----------------------------------------------------
     def _apply(self, op: Op, state: State, info: FunctionInfo) -> List[State]:
-        if op.kind == K_STORE:
+        if op.kind == STORE:
             if info.metadata_label is not None and state.txn == 0:
                 self._report(
                     "ESP502", info,
@@ -769,12 +698,12 @@ class _Engine:
                     f"transaction coverage — a crash mid-mutation cannot "
                     f"roll back", line=op.line)
             return [state]
-        if op.kind == K_FLUSH:
+        if op.kind == FLUSH:
             return [state._replace(
                 phase=max(state.phase, 1),
                 flushed=state.flushed | {op.name},
                 pending_own=state.pending_own | {op.name})]
-        if op.kind == K_FENCE:
+        if op.kind == FENCE:
             phase = state.phase
             if phase == 1 and (op.name in state.flushed
                                or op.name == "?"):
@@ -786,12 +715,12 @@ class _Engine:
             return [state._replace(
                 phase=phase, fenced=True,
                 pending_own=_NO_PENDING, pending_call=_NO_PENDING)]
-        if op.kind == K_FLUSH_FENCE:
+        if op.kind == FLUSH_FENCE:
             return [state._replace(
                 phase=2, fenced=True,
                 flushed=state.flushed | {op.name},
                 pending_own=_NO_PENDING, pending_call=_NO_PENDING)]
-        if op.kind == K_PUBLISH:
+        if op.kind == PUBLISH:
             if state.phase < 2 and info.publish_label is None:
                 self._report(
                     "ESP501", info,
@@ -800,27 +729,20 @@ class _Engine:
                     f"payload — a crash in the window recovers a reachable "
                     f"pointer to unpersisted data", line=op.line)
             return [state]
-        if op.kind == K_UNDO:
+        if op.kind == UNDO:
             return [state._replace(txn=max(state.txn, 1))]
-        if op.kind == K_TXN_BEGIN:
+        if op.kind == TXN_BEGIN:
             return [state._replace(txn=min(state.txn + 1, 4))]
-        if op.kind == K_TXN_COMMIT:
+        if op.kind == TXN_COMMIT:
             return [state._replace(txn=max(state.txn - 1, 0))]
-        if op.kind == K_CALL:
-            return [self._drop_conds_if_reassigned(s)
-                    for s in self._apply_call(op, state, info)]
+        if op.kind == CALL:
+            return self._apply_call(op, state, info)
         return [state]
 
-    @staticmethod
-    def _drop_conds_if_reassigned(state: State) -> State:
-        return state  # parameters are treated as immutable path facts
-
     # -- per-function dataflow -------------------------------------------
-    def _run_function(self, info: FunctionInfo,
-                      report: bool) -> Tuple[Set[State], Set[State]]:
-        """Worklist dataflow; returns (return-exit states, raise states)."""
+    def _run_function(self, info: FunctionInfo, report: bool) -> Set[State]:
+        """Worklist dataflow; returns the return-exit states."""
         self._reporting = report
-        self._current = info
         states: Dict[int, Set[State]] = {info.entry: {_ENTRY_STATE}}
         work = [info.entry]
         processed: Dict[int, Set[State]] = {i: set()
@@ -855,8 +777,7 @@ class _Engine:
                             if succ not in work:
                                 work.append(succ)
             work.sort()
-        return (states.get(info.ret_exit, set()),
-                states.get(info.raise_exit, set()))
+        return states.get(info.ret_exit, set())
 
     # -- findings --------------------------------------------------------
     def _report(self, code: str, info: FunctionInfo, message: str,
@@ -873,9 +794,6 @@ class _Engine:
     def _summarise(self, info: FunctionInfo,
                    ret_states: Set[State]) -> Summary:
         summary = Summary()
-        summary.publishes = any(op.kind == K_PUBLISH
-                                for block in info.blocks
-                                for op in block.ops)
         if not ret_states:
             return summary
         summary.provides_guard = all(s.phase == 2 for s in ret_states)
@@ -915,20 +833,19 @@ class _Engine:
     # -- driver ----------------------------------------------------------
     def run(self) -> None:
         order = sorted(self.functions, key=lambda f: (f.path, f.lineno))
-        if self.interprocedural:
-            for _ in range(MAX_FIXPOINT_ROUNDS):
-                changed = False
-                for info in order:
-                    ret_states, _ = self._run_function(info, report=False)
-                    new = self._summarise(info, ret_states)
-                    if new.key() != self.summaries[info.where].key():
-                        self.summaries[info.where] = new
-                        changed = True
-                if not changed:
-                    break
+        for _ in range(MAX_FIXPOINT_ROUNDS):
+            changed = False
+            for info in order:
+                ret_states = self._run_function(info, report=False)
+                new = self._summarise(info, ret_states)
+                if new != self.summaries[info.where]:
+                    self.summaries[info.where] = new
+                    changed = True
+            if not changed:
+                break
         # Final reporting pass with stable summaries.
         for info in order:
-            ret_states, _ = self._run_function(info, report=True)
+            ret_states = self._run_function(info, report=True)
             summary = self._summarise(info, ret_states)
             self.summaries[info.where] = summary
             self._check_exits(info, ret_states)
@@ -936,10 +853,8 @@ class _Engine:
 
     def _check_exits(self, info: FunctionInfo,
                      ret_states: Set[State]) -> None:
-        self._reporting = True
         assumed = self.assumptions.defers_fence(info.where)
-        is_root = self.interprocedural \
-            and info.name not in self.called_names
+        is_root = info.name not in self.called_names
         for state in sorted(ret_states):
             conditional = any(val is False and p in info.params
                               for (p, val) in state.conds)
@@ -964,7 +879,6 @@ class _Engine:
     def _check_sibling_branches(self, info: FunctionInfo) -> None:
         """ESP504: an if/else whose one branch persists and whose sibling
         stores/flushes without any durability call."""
-        self._reporting = True
         if self.assumptions.defers_fence(info.where):
             # A declared deferred-fence function is *expected* to have a
             # fencing arm and a deferring arm — that asymmetry is the
@@ -987,12 +901,12 @@ class _Engine:
                     op = _classify_call(node, self.index)
                     if op is None:
                         continue
-                    if op.kind in (K_FENCE, K_FLUSH_FENCE):
+                    if op.kind in (FENCE, FLUSH_FENCE):
                         has_durability = True
-                    elif op.kind in (K_STORE, K_FLUSH):
+                    elif op.kind in (STORE, FLUSH):
                         has_mutation = True
-                    elif op.kind == K_CALL and self.interprocedural:
-                        for cand in self._candidates(op.name):
+                    elif op.kind == CALL:
+                        for cand in self.by_name.get(op.name, []):
                             s = self.summaries[cand.where]
                             if s.fences_always or s.provides_guard:
                                 has_durability = True
@@ -1102,7 +1016,6 @@ class StaticOrderResult:
     metadata_functions: Dict[str, str]
     suppressed: int
     unused_assumptions: List[str]
-    interprocedural: bool
 
     def diagnostics(self) -> List[Diagnostic]:
         return list(self.findings)
@@ -1115,7 +1028,6 @@ class StaticOrderResult:
             "by_code": by_code,
             "files": self.files,
             "functions": self.functions,
-            "interprocedural": self.interprocedural,
             "metadata_functions": dict(sorted(
                 self.metadata_functions.items())),
             "publish_points": dict(sorted(self.publish_points.items())),
@@ -1149,18 +1061,14 @@ def _scope_from_roots(roots: Sequence[Path]) -> List[Tuple[Path, str]]:
     return out
 
 
-def analyze_paths(paths: Optional[Sequence[Path]] = None,
-                  repo_root=None,
-                  assumptions: Optional[Assumptions] = None,
-                  interprocedural: bool = True) -> StaticOrderResult:
+def analyze_paths(paths: Optional[Sequence[Path]] = None, repo_root=None,
+                  assumptions: Optional[Assumptions] = None
+                  ) -> StaticOrderResult:
     """Run the ESP5xx verifier.
 
     With no *paths*, the in-tree durable-subsystem scope under
     ``repo_root/src`` is analyzed; otherwise every ``*.py`` under the
-    given roots.  *assumptions* supplies suppressions/contracts;
-    *interprocedural* False skips summaries and disables the
-    whole-call-graph rules (ESP501 publish-guard tracking through
-    helpers and ESP505) for fast inner-loop runs.
+    given roots.  *assumptions* supplies suppressions/contracts.
     """
     if assumptions is None:
         assumptions = Assumptions.empty()
@@ -1171,7 +1079,7 @@ def analyze_paths(paths: Optional[Sequence[Path]] = None,
     else:
         scope = _scope_from_roots(paths)
 
-    index = _PublishIndex()
+    index: _PublishIndex = {}
     parsed: List[Tuple[_Defs, str]] = []
     for path, rel in scope:
         try:
@@ -1189,13 +1097,8 @@ def analyze_paths(paths: Optional[Sequence[Path]] = None,
     for defs, rel in parsed:
         functions.extend(_build_functions(defs, rel, index))
 
-    engine = _Engine(functions, index, assumptions, interprocedural)
+    engine = _Engine(functions, index, assumptions)
     engine.run()
-    if not interprocedural:
-        # Without summaries, guard/escape tracking through helpers is
-        # unsound: keep only the intra-procedural rules.
-        intra = ("ESP502", "ESP503", "ESP504")
-        engine.findings = [d for d in engine.findings if d.code in intra]
     raw = len(engine.findings)
     findings = assumptions.filter(engine.findings)
     publish_points = {
@@ -1212,5 +1115,4 @@ def analyze_paths(paths: Optional[Sequence[Path]] = None,
         metadata_functions=metadata_functions,
         suppressed=raw - len(findings),
         unused_assumptions=assumptions.unused(),
-        interprocedural=interprocedural,
     )

@@ -20,7 +20,7 @@ so the new pass stays baseline-disciplined like the other three: the
 canonical workload is deterministic (fixed heap geometry, fixed
 allocation order, simulated clock), hence so are its ``line N``
 fingerprints, and any protocol change that shifts them fails CI until
-the baseline is deliberately refreshed (``--write-baseline``).
+the baseline is deliberately refreshed (``--update-baseline``).
 
 The report lands in ``ELISION_REPORT.json`` (repo root by default).
 Exit codes: 0 all gates pass, 1 otherwise.

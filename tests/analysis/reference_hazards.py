@@ -1,12 +1,16 @@
 """Test-only reference for the persist-order hazard replay.
 
 This is ``repro.analysis.hazards.analyze_trace`` as it stood before the
-replay was indexed (ISSUE 24), verbatim: every store scans *all*
-publishes for a header overlap, every flush and fence scans *all*
+replay was indexed, verbatim but for one deviation: every store scans
+*all* publishes for a header overlap, every flush and fence scans *all*
 pending publishes.  It is quadratic and obviously right, which is what a
 reference is for: ``test_hazards_reference.py`` replays random traces
 through this and the production pass and demands equal
 ``HazardReport.to_dict()``, findings order included.
+
+The one deviation, marked ``DEVIATION`` below, is the ESP201/ESP204
+premise both replays share: a target line no store of the trace touched
+before the fence was durable before the trace began (fence 0).
 
 Only passive data (``HazardReport``, the diagnostic constructors, the
 layout constants) is shared with production; every line that decides
@@ -143,8 +147,11 @@ def analyze_trace(trace, line_words: Optional[int] = None,
                 # Durability state *before* this fence decides safety:
                 # header and pointer persisting at the same fence may
                 # reorder within the epoch under FaultMode.REORDERED.
+                # DEVIATION: a line the trace never stored counts as
+                # durable from before the trace.
                 unsafe = sorted(ln for ln in pub.target_lines
-                                if ln not in durable_fence)
+                                if ln not in durable_fence
+                                and (ln in dirty or ln in flushed))
                 if unsafe:
                     what = ("frame-top" if pub.code == "ESP204"
                             else "pointer")

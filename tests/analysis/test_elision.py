@@ -235,6 +235,23 @@ class TestCertifyElision:
         with pytest.raises(ValueError, match="hazard error"):
             certify_elision(None, log, scopes=("pjh:t",), install=False)
 
+    def test_reads_the_trace_once(self):
+        """The hazard gate and the elision proof come from one replay."""
+        class CountingLog:
+            name = "counted"
+            reads = 0
+
+            @property
+            def events(self):
+                self.reads += 1
+                return [("store", 0, 8), ("flush", 0), ("fence",),
+                        ("flush", 0), ("fence",)]
+
+        log = CountingLog()
+        cert = certify_elision(None, log, scopes=("pjh:t",), install=False)
+        assert log.reads == 1
+        assert cert.evidence["redundant_flushes"] == 1
+
     def test_explicit_scopes_need_no_session(self):
         log = _log(("store", 0, 8), ("flush", 0), ("fence",),
                    ("flush", 0), ("fence",))

@@ -4,10 +4,13 @@ Raw traces seed the three hazard classes; a live session's recorded
 trace (the real allocation + publication protocol) must come back clean.
 """
 
+import json
+
 from repro.analysis.hazards import analyze_trace
 from repro.api import Espresso
 from repro.nvm.persist import PersistEventLog
 from repro.runtime.klass import FieldKind, field
+from tests.analysis.test_srclint import run_cli
 
 # Offsets are device-relative words; LINE_WORDS is 8, so offset 0 is
 # line 0 and offset 64 is line 8.
@@ -117,6 +120,34 @@ class TestSeededTraces:
         assert "ESP201" not in codes(report)
 
 
+class TestRecordingStartedLate:
+    """A trace may begin after its objects were allocated and persisted."""
+
+    def test_publish_to_a_never_stored_target_is_clean(self):
+        """No store of the trace touched the header: it was durable
+        before recording began (fence 0), so the publish is ordered."""
+        trace = [
+            ("store", SLOT, 1),
+            ("publish", SLOT, TARGET),
+            ("flush", SLOT // 8),
+            ("fence",),
+        ]
+        report = analyze_trace(trace)
+        assert report.clean, [d.render() for d in report.findings]
+        assert report.stats["publishes"] == 1
+
+    def test_header_stored_in_the_trace_and_left_unfenced_is_flagged(self):
+        """A header the trace did store is judged exactly as before."""
+        trace = [
+            ("store", SLOT, 1),
+            ("publish", SLOT, TARGET),
+            ("store", TARGET, 2),          # header rewritten, never flushed
+            ("flush", SLOT // 8),
+            ("fence",),
+        ]
+        assert "ESP201" in codes(analyze_trace(trace))
+
+
 class TestFrameTraces:
     """ESP204: the resume protocol's frame-top publish ordering."""
 
@@ -211,6 +242,52 @@ class TestEventLogRoundTrip:
         log.save(path)
         loaded = PersistEventLog.load(path)
         assert loaded.events == log.events
+
+
+class TestTraceCli:
+    """``python -m repro.analysis --trace FILE [--elision]``."""
+
+    @staticmethod
+    def _saved_log(tmp_path):
+        log = PersistEventLog("cli")
+        log.record_store(TARGET, 2)
+        log.record_store(SLOT, 1)
+        log.record_publish(SLOT, TARGET)
+        log.record_flush(SLOT // 8)
+        log.record_fence()             # ESP201: pointer durable, header not
+        log.record_flush(SLOT // 8)    # ESP401: nothing stored since
+        log.record_fence()
+        log.record_fence()             # ESP402: no flush since
+        log.record_store(TARGET, 1)    # ESP203: published header rewritten
+        log.record_flush(TARGET // 8)  # ESP202: never fenced
+        path = tmp_path / "trace.json"
+        log.save(path)
+        (tmp_path / "empty").mkdir()   # lint root with nothing to lint
+        return path, tmp_path / "empty"
+
+    def test_trace_reports_hazards(self, tmp_path):
+        path, empty = self._saved_log(tmp_path)
+        proc = run_cli("--paths", empty, "--trace", path)
+        assert proc.returncode == 1
+        found = {code for code in ("ESP201", "ESP202", "ESP203", "ESP401",
+                                   "ESP402") if code in proc.stdout}
+        assert found == {"ESP201", "ESP202", "ESP203"}
+
+    def test_elision_adds_the_redundancy_pass(self, tmp_path):
+        path, empty = self._saved_log(tmp_path)
+        proc = run_cli("--paths", empty, "--trace", path, "--elision",
+                       "--json")
+        assert proc.returncode == 1
+        passes = json.loads(proc.stdout)["passes"]
+        assert set(passes) == {"lint", "hazards", "elision"}
+        assert {d["code"] for d in passes["hazards"]} \
+            == {"ESP201", "ESP202", "ESP203"}
+        assert {d["code"] for d in passes["elision"]} == {"ESP401", "ESP402"}
+
+    def test_elision_without_trace_is_a_usage_error(self, tmp_path):
+        proc = run_cli("--paths", tmp_path, "--elision")
+        assert proc.returncode == 2
+        assert "--elision needs --trace FILE" in proc.stderr
 
 
 class TestLiveTrace:

@@ -1,21 +1,23 @@
-"""The indexed hazard replay against its quadratic reference.
+"""The one replay against its two references.
 
-``analyze_trace`` looks publishes up by cache line instead of scanning
-them all; ``tests/analysis/reference_hazards.py`` is the scan it
-replaced.  Two pins: on random traces the two reports are equal down to
-the order of findings, and the indexed replay's executed-line count
-grows linearly with the trace (a count, not a timing, so it can gate
-tier-1).
+``repro.analysis.events.replay`` looks publishes up by cache line
+instead of scanning them all, and yields the elision verdicts from the
+same walk; ``tests/analysis/reference_hazards.py`` is the hazard scan it
+replaced and ``tests/analysis/reference_elision.py`` the elision pass's
+own replay.  Two pins: on random traces the reports are equal to the
+references' (hazard findings down to their order), and the replay's
+executed-line count grows linearly with the trace (a count, not a
+timing, so it can gate tier-1).
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import hazards
+from repro.analysis import events
 from repro.analysis.elision import analyze_elision
 from repro.analysis.hazards import analyze_trace
-from tests.analysis import reference_hazards
+from tests.analysis import reference_elision, reference_hazards
 from tests.line_census import lines_executed
 
 # A 48-word space (six 8-word lines) with a handful of object headers
@@ -41,8 +43,10 @@ FENCE = st.just(("fence",))
 PUBLISH = _maybe_tagged(st.tuples(st.just("publish"), SLOT, TARGET))
 FRAME = _maybe_tagged(
     st.tuples(st.just("frame"), SLOT, TARGET, st.integers(1, 20)))
+# At least ten events: a hazard needs a store, a publish, a slot flush
+# and a fence, and ESP201 needs the target stored before that fence.
 TRACE = st.lists(st.one_of(STORE_ONE_WORD, STORE, FLUSH, FLUSH, FENCE, FENCE,
-                           PUBLISH, PUBLISH, FRAME), max_size=60)
+                           PUBLISH, PUBLISH, FRAME), min_size=10, max_size=60)
 #: (line_words, header_words): the real geometry, a header that straddles
 #: lines, and a header wider than a line.
 GEOMETRY = st.sampled_from([(8, 2), (4, 3), (8, 10)])
@@ -64,10 +68,17 @@ def test_indexed_replay_equals_the_scan():
     def check(trace, geometry):
         report = _assert_equal_reports(trace, *geometry)
         seen.update(d.code for d in report.findings)
+        if geometry[0] == 8:    # the elision pass runs on device lines
+            got = analyze_elision(trace)
+            want = reference_elision.analyze_elision(trace)
+            assert got.summary() == want.summary()
+            assert got.diagnostics() == want.diagnostics()
+            seen.update(d.code for d in got.diagnostics())
 
     check()
     # The strategy is only a safety net if it reaches every rule.
-    assert seen == {"ESP201", "ESP202", "ESP203", "ESP204", "ESP205"}
+    assert seen == {"ESP201", "ESP202", "ESP203", "ESP204", "ESP205",
+                    "ESP401", "ESP402"}
 
 
 @pytest.mark.parametrize("trace, geometry, codes", [
@@ -84,8 +95,8 @@ def test_indexed_replay_equals_the_scan():
       ("store", 2, 3), ("flush", 5), ("fence",), ("fence",)], (8, 2),
      ["ESP201", "ESP201", "ESP201", "ESP203"]),
     # A slot that is never flushed, beside one flushed twice.
-    ([("publish", 16, 0), ("publish", 24, 0), ("flush", 3), ("flush", 3),
-      ("fence",)], (8, 2), ["ESP201"]),
+    ([("store", 0, 2), ("publish", 16, 0), ("publish", 24, 0),
+      ("flush", 3), ("flush", 3), ("fence",)], (8, 2), ["ESP201"]),
     # An empty store on a line boundary inside a straddling header moves
     # ``rewritten_at`` without dirtying a line.
     ([("store", 2, 3), ("flush", 0), ("flush", 1), ("fence",),
@@ -129,7 +140,7 @@ def test_replay_is_linear_in_the_trace():
     small, large = _protocol_trace(150), _protocol_trace(600)
     assert len(large) == 4 * len(small)
     assert analyze_trace(large).clean
-    base = lines_executed(hazards, lambda: analyze_trace(small))
-    grown = lines_executed(hazards, lambda: analyze_trace(large))
+    base = lines_executed(events, lambda: analyze_trace(small))
+    grown = lines_executed(events, lambda: analyze_trace(large))
     # The per-store scan of every publish measured 15x here.
     assert grown <= 4.6 * base, (base, grown)

@@ -145,9 +145,26 @@ class TestRules:
         write_tree(tmp_path, {"a.py": "domain.fence()\nheap.fence()\n"})
         assert lint_paths([tmp_path]) == []
 
+    def test_device_fence_matched_on_last_receiver_name(self, tmp_path):
+        """ESP302 reads the device receivers the ESP5xx verifier reads:
+        any chain ending in device, dev or d, any fence call."""
+        write_tree(tmp_path, {"a.py": (
+            "dev.fence()\n"
+            "self.d.fence()\n"
+            "self.heap.device.sfence()\n"
+            "self.domain.fence()\n"
+            "self.heap.fence()\n"
+            "dev.flush(0)\n")})
+        findings = lint_paths([tmp_path], rules=PERSIST_RULES)
+        assert [(f.lineno, f.code, f.reason) for f in findings] == [
+            (1, "ESP302", "raw fence on a device"),
+            (2, "ESP302", "raw fence on a device"),
+            (3, "ESP302", "raw sfence on a device")]
+
     def test_exempt_paths_skipped_per_rule_family(self, tmp_path):
         write_tree(tmp_path, {
-            "repro/nvm/x.py": "device.clflush(0)\nt = time.time()\n",
+            "repro/nvm/x.py": ("device.clflush(0)\nself.d.fence()\n"
+                               "t = time.time()\n"),
             "repro/nvm/clock.py": "t = time.time()\n",
         })
         findings = lint_paths([tmp_path])
@@ -217,9 +234,7 @@ class TestCli:
     def test_baseline_suppresses_known_findings(self, tmp_path):
         tree = write_tree(tmp_path / "tree", {"a.py": "device.clflush(0)\n"})
         baseline = tmp_path / "baseline.json"
-        proc = run_cli("--paths", tree, "--write-baseline", baseline)
-        assert proc.returncode == 0
-        assert json.loads(baseline.read_text())["fingerprints"]
+        baseline.write_text(json.dumps({"fingerprints": ["ESP301:a.py:1"]}))
         proc = run_cli("--paths", tree, "--baseline", baseline)
         assert proc.returncode == 0
         assert "suppressed by baseline" in proc.stdout

@@ -22,7 +22,6 @@ import pytest
 from repro.analysis.static_order import (
     Assumptions,
     _function_defs,
-    _PublishIndex,
     _register_labels,
     analyze_paths,
     load_assumptions,
@@ -45,11 +44,6 @@ EXPECTED = {
     "bad_esp505_callgraph_escape.py": "ESP505",
 }
 
-#: rules that survive --no-interprocedural (no call summaries, so the
-#: whole-call-graph rules ESP501/ESP505 are disabled as unsound).
-INTRA_RULES = {"ESP502", "ESP503", "ESP504"}
-
-
 def run_cli(*args):
     env = dict(os.environ)
     env["PYTHONPATH"] = REPO_SRC + os.pathsep + env.get("PYTHONPATH", "")
@@ -67,8 +61,7 @@ def codes_by_file(result):
 
 @pytest.fixture(scope="module")
 def fixture_result():
-    return analyze_paths(paths=[FIXTURES], assumptions=Assumptions.empty(),
-                         interprocedural=True)
+    return analyze_paths(paths=[FIXTURES], assumptions=Assumptions.empty())
 
 
 def test_fixture_corpus_is_large_enough():
@@ -98,16 +91,6 @@ def test_all_five_rules_are_exercised(fixture_result):
     assert codes == {"ESP501", "ESP502", "ESP503", "ESP504", "ESP505"}
 
 
-def test_fast_mode_keeps_only_intraprocedural_rules():
-    fast = analyze_paths(paths=[FIXTURES], assumptions=Assumptions.empty(),
-                         interprocedural=False)
-    found = codes_by_file(fast)
-    assert {c for cs in found.values() for c in cs} <= INTRA_RULES
-    for name, code in EXPECTED.items():
-        if code in INTRA_RULES:
-            assert found.get(name) == {code}
-
-
 def test_same_named_publish_points_deeper_then_later_label_wins():
     """A call is classified by bare name, so one label must win when two
     decorated functions share a name: the breadth-first-walk order."""
@@ -115,17 +98,17 @@ def test_same_named_publish_points_deeper_then_later_label_wins():
         "class Heap:\n"
         "    @publish_point('method')\n"
         "    def link(self): pass\n"
-        "    @durable_metadata('first')\n"
+        "    @publish_point('first')\n"
         "    def top(self): pass\n"
         "if True:\n"
-        "    @durable_metadata('second')\n"
+        "    @publish_point('second')\n"
         "    def top(): pass\n"
         "@publish_point('module')\n"
         "def link(): pass\n")
-    index = _PublishIndex()
+    index = {}
     _register_labels(_function_defs(ast.parse(source)), index)
-    assert index.publish == {"link": "method"}      # deeper beats later
-    assert index.metadata == {"top": "second"}      # same depth: later
+    assert index == {"link": "method",      # deeper beats later
+                     "top": "second"}       # same depth: later
 
 
 def test_in_tree_durable_subsystems_are_clean():
@@ -133,8 +116,7 @@ def test_in_tree_durable_subsystems_are_clean():
     code under the checked-in assumptions file, and every assumption
     entry is actually used (no rot)."""
     assumptions = load_assumptions(REPO_ROOT / "analysis-assumptions.json")
-    result = analyze_paths(repo_root=REPO_ROOT, assumptions=assumptions,
-                           interprocedural=True)
+    result = analyze_paths(repo_root=REPO_ROOT, assumptions=assumptions)
     assert [d.render() for d in result.diagnostics()] == []
     summary = result.summary()
     assert summary["unused_assumptions"] == []
