@@ -66,10 +66,6 @@ class SafetyCertificate:
     def active_fields(self) -> FrozenSet[FieldKey]:
         return frozenset(self._active)
 
-    @property
-    def revoked_fields(self) -> FrozenSet[FieldKey]:
-        return frozenset(self.closed_fields - self._active)
-
     # ------------------------------------------------------------------
     # Dynamic premise enforcement (called by the VM)
     # ------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""The persist-event core: one vocabulary, one replay (DESIGN.md §18).
+"""The persist-event core: one vocabulary, one replay, one line-state
+machine (DESIGN.md §18).
 
 **Vocabulary.**  A :class:`~repro.nvm.persist.PersistEventLog` records
 tuples of five kinds:
@@ -17,19 +18,24 @@ ones a trace never records: flush+fence, undo, transaction begin and
 commit, and an opaque call.  :data:`CALL_KINDS` names the calls; the
 source lint's ESP301/ESP302 read the same table and receiver names.
 
-**Replay.**  :func:`replay` walks a trace once over one line state — dirty
-since its last flush, flushed awaiting a fence, durable at a fence, last
-flushed by which mutator in which epoch, flushed and not stored since —
-and returns both verdicts: the ESP2xx hazards
-(:mod:`repro.analysis.hazards`) and the ESP4xx redundancy
-(:mod:`repro.analysis.elision`).
+**Line state.**  :class:`Line` is the one transition function of a
+cache line — dirty since its last flush, flushed awaiting a fence,
+flushed and not stored since.  :func:`replay` steps it over the concrete
+lines of a trace; the ESP5xx engine steps it, through
+:class:`LineState`, over abstract lines: the receivers its flushes name.
+
+**Replay.**  :func:`replay` walks a trace once and returns both
+verdicts: the ESP2xx hazards (:mod:`repro.analysis.hazards`) and the
+ESP4xx redundancy (:mod:`repro.analysis.elision`).
 """
 
 from __future__ import annotations
 
 import ast
+import functools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, \
+    Set, Tuple
 
 from repro.analysis.diagnostics import Diagnostic, make_diagnostic
 from repro.nvm.device import LINE_WORDS
@@ -63,22 +69,32 @@ DOMAIN_RECEIVERS = frozenset({"persist", "domain", "pd"})
 DEVICE_RECEIVERS = frozenset({"device", "d", "dev"})
 
 
+#: The name of a receiver, or of the part of one, that is not a name.
+ANY = "?"
+
+
 def receiver_name(expr: ast.expr) -> str:
-    """The last name of a receiver chain (``self.heap.device`` ->
-    ``device``), or ``"?"`` when it ends in something else."""
-    if isinstance(expr, ast.Attribute):
-        return expr.attr
-    return expr.id if isinstance(expr, ast.Name) else "?"
+    """A receiver chain as a dotted name (``self.heap.device``), with
+    :data:`ANY` for a head that is not a name (``pool().device`` ->
+    ``?.device``)."""
+    parts: List[str] = []
+    while isinstance(expr, ast.Attribute):
+        parts.append(expr.attr)
+        expr = expr.value
+    parts.append(expr.id if isinstance(expr, ast.Name) else ANY)
+    return ".".join(reversed(parts))
 
 
 def call_kind(attr: str, receiver: str) -> Optional[str]:
     """The event kind of a ``receiver.attr(...)`` call, or None.
 
-    A ``.flush()`` only counts on a domain or device receiver: a file
-    object's ``fh.flush()`` must stay invisible.
+    Only the last name of the receiver chain counts.  A ``.flush()`` only
+    counts on a domain or device receiver: a file object's
+    ``fh.flush()`` must stay invisible.
     """
-    if attr == "flush" and receiver not in DOMAIN_RECEIVERS \
-            and receiver not in DEVICE_RECEIVERS:
+    last = receiver.rsplit(".", 1)[-1]
+    if attr == "flush" and last not in DOMAIN_RECEIVERS \
+            and last not in DEVICE_RECEIVERS:
         return None
     return CALL_KINDS.get(attr)
 
@@ -87,6 +103,104 @@ def lines_of(offset: int, count: int, line_words: int) -> range:
     """The cache lines the word span ``[offset, offset + count)`` touches."""
     return range(offset // line_words,
                  (offset + count - 1) // line_words + 1)
+
+
+class Line(NamedTuple):
+    """One line's persist state; every transition returns a new value.
+
+    There are eight values, so each transition is computed once per
+    value and then looked up: the replay steps one per event.
+    """
+
+    dirty: bool = False     # stored since its last flush
+    pending: bool = False   # flushed while dirty, not fenced since
+    current: bool = False   # flushed, not stored since
+
+    @functools.lru_cache(maxsize=None)
+    def store(self, words: bool = True) -> "Line":
+        """A store; one of no words dirties nothing, but the line's
+        durable copy stops being current all the same."""
+        return Line(self.dirty or words, self.pending, False)
+
+    @functools.lru_cache(maxsize=None)
+    def flush(self) -> "Line":
+        return Line(False, self.pending or self.dirty, True)
+
+    @functools.lru_cache(maxsize=None)
+    def fence(self) -> "Line":
+        return Line(self.dirty, False, self.current)
+
+    @functools.lru_cache(maxsize=None)
+    def join(self, other: "Line") -> "Line":
+        """What either of two paths may have left: each bit of either."""
+        return Line(*(a or b for a, b in zip(self, other)))
+
+
+CLEAN = Line()
+
+
+class LineState(NamedTuple):
+    """The line state of one path through the source.
+
+    ``lines`` maps abstract lines, the receivers a path flushed, to their
+    :class:`Line`.  ``phase`` is the path's publish guard (ESP501): 0
+    before any flush, 1 after one, 2 once a flushed line reached a fence.
+    ``fenced`` says the path fenced at all.
+    """
+
+    phase: int = 0
+    lines: FrozenSet[Tuple[str, Line]] = frozenset()
+    fenced: bool = False
+
+    @property
+    def flushed(self) -> FrozenSet[str]:
+        return frozenset(name for name, line in self.lines if line.current)
+
+    @property
+    def pending(self) -> FrozenSet[str]:
+        return frozenset(name for name, line in self.lines if line.pending)
+
+    def flush(self, name: str) -> "LineState":
+        # No store names the receiver a flush does, so the engine takes
+        # every flushed receiver to cover a dirty line.
+        lines = dict(self.lines)
+        lines[name] = lines.get(name, CLEAN).store().flush()
+        return self._replace(phase=max(self.phase, 1),
+                             lines=frozenset(lines.items()))
+
+    def fence(self, name: Optional[str] = None) -> "LineState":
+        """Every pending line becomes durable: an epoch commit drains the
+        whole device queue.  A fence naming a flushed line guards the
+        path, and so does one on a receiver that is not a name, which may
+        be any of them; one naming no line (a callee's) guards nothing."""
+        phase = self.phase
+        if phase == 1 and name is not None and (
+                name.startswith(ANY) or name in self.flushed):
+            phase = 2
+        return LineState(phase, frozenset((n, line.fence())
+                                          for n, line in self.lines), True)
+
+    def call(self, callee: "LineState") -> "LineState":
+        """This path, then a callee that reached *callee*'s guard and
+        fence on every exit.  It names none of this path's lines."""
+        state = self.fence() if callee.fenced else self
+        return state._replace(phase=max(state.phase, callee.phase))
+
+    @staticmethod
+    def join(states: Iterable["LineState"]) -> "LineState":
+        """The conservative merge of path states: the weakest guard,
+        fenced only if every path fenced, and every line any path
+        flushed, pending if it is pending on any."""
+        states = list(states)
+        if len(states) == 1:    # most calls resolve to one callee
+            return states[0]
+        lines: Dict[str, Line] = {}
+        for state in states:
+            for name, line in state.lines:
+                lines[name] = lines.get(name, CLEAN).join(line)
+        return LineState(min(s.phase for s in states),
+                         frozenset(lines.items()),
+                         all(s.fenced for s in states))
 
 
 #: Fields each taggable kind has before the optional mutator tag.
@@ -146,14 +260,12 @@ def replay(trace, line_words: Optional[int] = None,
         header_words = layout.HEADER_WORDS
 
     hazards: List[Diagnostic] = []
-    # The line state.
-    dirty: Set[int] = set()             # stored since its last flush
-    flushed: Set[int] = set()           # flushed while dirty, not fenced
-    durable_fence: Dict[int, int] = {}  # line -> fence no. of last persist
+    state: Dict[int, Line] = {}   # line -> its state; absent lines CLEAN
+    pending: Set[int] = set()     # lines whose state is pending
+    durable: Set[int] = set()     # lines some fence made durable
     # line -> (mutator tag, fence count when the flush was issued); feeds
     # the ESP205 racy-publish check on tagged (concurrent) traces.
     last_flush: Dict[int, Tuple[Optional[int], int]] = {}
-    current: Set[int] = set()           # flushed, not stored since
     fence_no = 0
     flush_since_fence = False
     redundant_flushes: Dict[int, int] = {}
@@ -188,13 +300,13 @@ def replay(trace, line_words: Optional[int] = None,
             count = int(event[2]) if len(event) > 2 else 1
             tag_of(event)
             counts["stores"] += 1
-            lines = lines_of(offset, count, line_words)
-            dirty.update(lines)
+            stored = lines_of(offset, count, line_words)
             # An empty store still names the line it sits on: that line's
             # durable copy becomes suspect, and the store can sit inside a
             # header.
             touched = lines_of(offset, max(count, 1), line_words)
-            current.difference_update(touched)
+            for line in touched:
+                state[line] = state.get(line, CLEAN).store(line in stored)
             # Only a header sharing a line with the store can share a
             # word with it; the word test still decides, because one
             # line holds several headers.
@@ -206,7 +318,7 @@ def replay(trace, line_words: Optional[int] = None,
                     # A published object's header was rewritten: it must
                     # be flushed+fenced again before the trace ends.
                     pub.rewritten_at = index
-                    for ln in lines:
+                    for ln in stored:
                         if (ln in pub.target_lines
                                 and ln not in pub.unpersisted_header):
                             pub.unpersisted_header.add(ln)
@@ -217,12 +329,12 @@ def replay(trace, line_words: Optional[int] = None,
             counts["flushes"] += 1
             last_flush[line] = (flusher, fence_no)
             flush_since_fence = True
-            if line in current:
+            before = state.get(line, CLEAN)
+            if before.current:
                 redundant_flushes[line] = redundant_flushes.get(line, 0) + 1
-            current.add(line)
-            if line in dirty:
-                dirty.discard(line)
-                flushed.add(line)
+            state[line] = after = before.flush()
+            if after.pending:
+                pending.add(line)
             # A flush only persists the pointer if it happens after the
             # publish's store; flushes that predate the publish snapshot
             # the old contents and prove nothing about the new pointer.
@@ -243,9 +355,9 @@ def replay(trace, line_words: Optional[int] = None,
                 # reorder within the epoch under FaultMode.REORDERED.  A
                 # line no store of the trace touched was durable before
                 # the trace began (fence 0).
-                unsafe = sorted(ln for ln in pub.target_lines
-                                if ln not in durable_fence
-                                and (ln in dirty or ln in flushed))
+                unsafe = sorted(
+                    ln for ln in pub.target_lines if ln not in durable
+                    and (state.get(ln, CLEAN).dirty or ln in pending))
                 if unsafe:
                     what = ("frame-top" if pub.code == "ESP204"
                             else "pointer")
@@ -260,11 +372,12 @@ def replay(trace, line_words: Optional[int] = None,
                         event_index=pub.index, fence=fence_no,
                         lines=",".join(str(ln) for ln in unsafe)))
             awaiting_fence = []
-            for line in flushed:
-                durable_fence[line] = fence_no
+            for line in pending:
+                state[line] = state[line].fence()
+                durable.add(line)
                 for pub in rewritten.pop(line, ()):
                     pub.unpersisted_header.discard(line)
-            flushed = set()
+            pending = set()
         elif kind == PUBLISH:
             counts["publishes"] += 1
             publisher = tag_of(event)
@@ -308,7 +421,7 @@ def replay(trace, line_words: Optional[int] = None,
             # tracking (checkpoints rewrite published frames by design).
             unflushed.setdefault(pub.slot_line, []).append(pub)
 
-    for line in sorted(flushed):
+    for line in sorted(pending):
         hazards.append(make_diagnostic(
             "ESP202", f"line {line}",
             f"flushed after the last fence of the trace (fence "

@@ -124,7 +124,8 @@ class _CallScanner(ast.NodeVisitor):
                 getattr(func, "id", None), getattr(func, "attr", None)):
             self._hit(node, "ESP301", "raw clflush call")
         if isinstance(func, ast.Attribute):
-            attr, receiver = func.attr, receiver_name(func.value)
+            attr = func.attr
+            receiver = receiver_name(func.value).rsplit(".", 1)[-1]
             if "ESP302" in self.rules and receiver in DEVICE_RECEIVERS \
                     and call_kind(attr, receiver) == FENCE:
                 self._hit(node, "ESP302", f"raw {attr} on a device")

@@ -25,6 +25,16 @@ exits too), undo logging and transaction brackets.  On top of the table:
   transaction ``with`` blocks, consumed by functions carrying the
   :func:`repro.nvm.publish.durable_metadata` decorator.
 
+Line state
+----------
+
+The flushes and fences of a path step the replay's line-state machine,
+:class:`repro.analysis.events.LineState`, over abstract lines: the
+receivers the path flushed.  This module keeps only what no trace has —
+the callee-deferred pending set, transaction depth and parameter
+conditions of :class:`State`, and the pending contracts of
+:class:`Summary` — and no transition of its own.
+
 Rules
 -----
 
@@ -49,7 +59,7 @@ Rules
 Path explosion is bounded by merge-point widening: at most
 :data:`MAX_STATES_PER_BLOCK` abstract states are kept per basic block;
 beyond that, states are widened by dropping their path conditions and
-merging conservatively (toward reporting).
+merging conservatively (toward reporting) with the line state's join.
 
 Intentional exceptions live in the **assumptions file**
 (``analysis-assumptions.json``): ``suppress`` entries drop a finding by
@@ -70,7 +80,7 @@ from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, \
 from repro.analysis.diagnostics import Diagnostic, make_diagnostic
 from repro.analysis.events import (CALL, FENCE, FLUSH, FLUSH_FENCE, PUBLISH,
                                    STORE, TXN_BEGIN, TXN_COMMIT, UNDO,
-                                   call_kind, receiver_name)
+                                   LineState, call_kind, receiver_name)
 
 __all__ = [
     "Assumptions",
@@ -112,23 +122,6 @@ class Op(NamedTuple):
     line: int
     name: str = ""
     args: tuple = ()
-
-
-def _dotted(expr: ast.expr) -> str:
-    """Receiver chain as a dotted string, or '?' when not a name chain."""
-    parts: List[str] = []
-    node = expr
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return "?"
-
-
-def _terminal(dotted: str) -> str:
-    return dotted.rsplit(".", 1)[-1]
 
 
 def _literal_or_param(node: Optional[ast.expr]):
@@ -188,7 +181,7 @@ def _classify_call(call: ast.Call, index: _PublishIndex) -> Optional[Op]:
     line = call.lineno
     if isinstance(func, ast.Attribute):
         attr = func.attr
-        recv = _dotted(func.value)
+        recv = receiver_name(func.value)
         if attr == "flush_words":
             fence = _literal_or_param(_kwarg(call, "fence"))
             if fence is None and _kwarg(call, "fence") is None \
@@ -199,7 +192,7 @@ def _classify_call(call: ast.Call, index: _PublishIndex) -> Optional[Op]:
             # False, parameter-dependent or unevaluable: a plain flush
             # (conservative: the fence is not guaranteed on this path).
             return Op(FLUSH_FENCE if fence is True else FLUSH, line, recv)
-        kind = call_kind(attr, receiver_name(func.value))
+        kind = call_kind(attr, recv)
         if kind is not None:
             return Op(kind, line, recv)
         symbol = attr
@@ -384,12 +377,12 @@ class _CfgBuilder:
         txn = False
         for item in stmt.items:
             expr = item.context_expr
+            last = receiver_name(expr).rsplit(".", 1)[-1]
             if isinstance(expr, ast.Call) \
                     and isinstance(expr.func, ast.Attribute) \
                     and expr.func.attr == "epoch":
-                epoch_recvs.append(_dotted(expr.func.value))
-            elif _terminal(_dotted(expr)).rstrip("n").endswith("tx") \
-                    or "txn" in _terminal(_dotted(expr)):
+                epoch_recvs.append(receiver_name(expr.func.value))
+            elif last.rstrip("n").endswith("tx") or "txn" in last:
                 txn = True
             else:
                 self.blocks[cur].ops.extend(_stmt_ops_expr(expr, self.index))
@@ -532,46 +525,57 @@ P_NO, P_ALWAYS, P_MAYBE = "no", "always", "maybe"
 
 @dataclass
 class Summary:
-    provides_guard: bool = False   # every return path flushed then fenced
-    provides_flush: bool = False   # every return path flushed something
-    fences_always: bool = False    # every return path saw a fence
+    #: The join of the return paths' line states, without their lines: a
+    #: caller sees how far every path got — flushed, guarded, fenced —
+    #: and none of the callee's receivers.
+    exits: LineState = LineState()
     leaves_pending: str = P_NO     # P_NO / P_ALWAYS / P_MAYBE
     pending_iff: Optional[str] = None  # pending only when this param is falsy
 
 
 class State(NamedTuple):
-    phase: int                       # ESP501: 0 none, 1 flushed, 2 guarded
-    flushed: FrozenSet[str]          # receivers flushed (fence matching)
-    pending_own: FrozenSet[str]      # own enqueues not yet fenced
+    """One path's line state, plus what only the static pass tracks."""
+
+    lines: LineState
     pending_call: FrozenSet[str]     # callee symbols that left pending
-    fenced: bool
     txn: int
     conds: FrozenSet[Tuple[str, bool]]
 
 
-_ENTRY_STATE = State(0, frozenset(), frozenset(), frozenset(),
-                     False, 0, frozenset())
+_NO_PENDING: FrozenSet[str] = frozenset()
+_ENTRY_STATE = State(LineState(), _NO_PENDING, 0, frozenset())
+
+
+def _ranked(items) -> tuple:
+    return len(items), sorted(items)
+
+
+def _order(state: State) -> tuple:
+    return (state.lines.phase, _ranked(state.lines.flushed),
+            _ranked(state.lines.pending), _ranked(state.pending_call),
+            state.lines.fenced, state.txn, _ranked(state.conds))
+
+
+def _in_order(states: Set[State]) -> Iterable[State]:
+    """*states* in the order a block steps them, which decides what
+    widening merges.  It is total, so it never falls back on the order
+    string hashing gives a set; a set ranks by size, then by members,
+    which extends the subset order."""
+    return sorted(states, key=_order) if len(states) > 1 else states
 
 
 def _widen(states: Set[State]) -> Set[State]:
     if len(states) <= MAX_STATES_PER_BLOCK:
         return states
-    # Drop path conditions first; if still too many, merge pairwise
-    # toward the conservative direction (min phase, union pending).
+    # Drop path conditions first; if still too many, merge them into one
+    # state toward reporting: the line states' join, every pending
+    # callee, the shallowest transaction.
     dropped = {s._replace(conds=frozenset()) for s in states}
     if len(dropped) <= MAX_STATES_PER_BLOCK:
         return dropped
-    phase = min(s.phase for s in dropped)
-    flushed = frozenset().union(*(s.flushed for s in dropped))
-    pending_own = frozenset().union(*(s.pending_own for s in dropped))
-    pending_call = frozenset().union(*(s.pending_call for s in dropped))
-    fenced = all(s.fenced for s in dropped)
-    txn = min(s.txn for s in dropped)
-    return {State(phase, flushed, pending_own, pending_call, fenced, txn,
-                  frozenset())}
-
-
-_NO_PENDING = frozenset()
+    return {State(LineState.join(s.lines for s in dropped),
+                  _NO_PENDING.union(*(s.pending_call for s in dropped)),
+                  min(s.txn for s in dropped), frozenset())}
 
 
 class _Engine:
@@ -647,29 +651,14 @@ class _Engine:
         cands = self.by_name.get(op.name, [])
         if not cands:
             return [state]
-        guard_all = all(self.summaries[c.where].provides_guard
-                        for c in cands)
-        flush_all = all(self.summaries[c.where].provides_flush
-                        for c in cands)
-        fence_all = all(self.summaries[c.where].fences_always
-                        for c in cands)
-        phase = state.phase
-        if guard_all:
-            phase = 2
-        elif flush_all and phase == 0:
-            phase = 1
-        fenced = state.fenced or fence_all
-        pending_own = state.pending_own
-        pending_call = state.pending_call
-        if fence_all:
-            # The callee unconditionally fences the device: optimistic
-            # clearing (a same-domain commit is the common case).
-            pending_own = frozenset()
-            pending_call = frozenset()
+        callee = LineState.join(self.summaries[c.where].exits for c in cands)
+        # A callee that fences on every path clears every pending flush,
+        # its callees' too: optimistic, a same-domain commit is the
+        # common case.
+        base = State(state.lines.call(callee),
+                     _NO_PENDING if callee.fenced else state.pending_call,
+                     state.txn, state.conds)
         pendings = {self._call_pending(op, info, c) for c in cands}
-        base = state._replace(phase=phase, fenced=fenced,
-                              pending_own=pending_own,
-                              pending_call=pending_call)
         # Must-polarity join over homonym candidates: a single candidate
         # that does not leave pending vetoes the pending edge.
         if False in pendings:
@@ -699,29 +688,17 @@ class _Engine:
                     f"roll back", line=op.line)
             return [state]
         if op.kind == FLUSH:
-            return [state._replace(
-                phase=max(state.phase, 1),
-                flushed=state.flushed | {op.name},
-                pending_own=state.pending_own | {op.name})]
-        if op.kind == FENCE:
-            phase = state.phase
-            if phase == 1 and (op.name in state.flushed
-                               or op.name == "?"):
-                phase = 2
-            # Optimistic per-device clearing: an epoch commit makes every
-            # enqueued line durable.  Cross-domain queue nuances are the
-            # dynamic (ESP2xx) passes' job; modeling them statically
-            # would drown the verifier in same-device false positives.
-            return [state._replace(
-                phase=phase, fenced=True,
-                pending_own=_NO_PENDING, pending_call=_NO_PENDING)]
-        if op.kind == FLUSH_FENCE:
-            return [state._replace(
-                phase=2, fenced=True,
-                flushed=state.flushed | {op.name},
-                pending_own=_NO_PENDING, pending_call=_NO_PENDING)]
+            return [state._replace(lines=state.lines.flush(op.name))]
+        if op.kind in (FENCE, FLUSH_FENCE):
+            lines = state.lines.flush(op.name) if op.kind == FLUSH_FENCE \
+                else state.lines
+            # Cross-domain queue nuances are the dynamic (ESP2xx) passes'
+            # job; modeling them statically would drown the verifier in
+            # same-device false positives.
+            return [State(lines.fence(op.name), _NO_PENDING, state.txn,
+                          state.conds)]
         if op.kind == PUBLISH:
-            if state.phase < 2 and info.publish_label is None:
+            if state.lines.phase < 2 and info.publish_label is None:
                 self._report(
                     "ESP501", info,
                     f"publish point {op.name}() reached at line {op.line} "
@@ -756,7 +733,7 @@ class _Engine:
             if block_id in (info.ret_exit, info.raise_exit):
                 continue
             block = info.blocks[block_id]
-            for entry_state in sorted(todo):
+            for entry_state in _in_order(todo):
                 outs = [entry_state]
                 for op in block.ops:
                     nxt: List[State] = []
@@ -796,11 +773,10 @@ class _Engine:
         summary = Summary()
         if not ret_states:
             return summary
-        summary.provides_guard = all(s.phase == 2 for s in ret_states)
-        summary.provides_flush = all(s.phase >= 1 for s in ret_states)
-        summary.fences_always = all(s.fenced for s in ret_states)
+        exits = LineState.join(s.lines for s in ret_states)
+        summary.exits = LineState(exits.phase, fenced=exits.fenced)
         pending_states = [s for s in ret_states
-                          if s.pending_own or s.pending_call]
+                          if s.lines.pending or s.pending_call]
         # Parameter-conditional contract: every pending exit carries a
         # (param, False) condition on one common parameter.
         shared: Optional[Set[str]] = None
@@ -810,7 +786,7 @@ class _Engine:
             shared = params if shared is None else (shared & params)
         if pending_states and shared:
             summary.pending_iff = sorted(shared)[0]
-        own_pending = [s for s in ret_states if s.pending_own]
+        own_pending = [s for s in ret_states if s.lines.pending]
         if own_pending:
             summary.leaves_pending = P_ALWAYS \
                 if len(pending_states) == len(ret_states) else P_MAYBE
@@ -855,11 +831,11 @@ class _Engine:
                      ret_states: Set[State]) -> None:
         assumed = self.assumptions.defers_fence(info.where)
         is_root = info.name not in self.called_names
-        for state in sorted(ret_states):
+        for state in _in_order(ret_states):
             conditional = any(val is False and p in info.params
                               for (p, val) in state.conds)
-            if state.pending_own and not assumed and not conditional:
-                recvs = ", ".join(sorted(state.pending_own))
+            if state.lines.pending and not assumed and not conditional:
+                recvs = ", ".join(sorted(state.lines.pending))
                 self._report(
                     "ESP503", info,
                     f"flush of {recvs} is still pending on a path that "
@@ -907,8 +883,8 @@ class _Engine:
                         has_mutation = True
                     elif op.kind == CALL:
                         for cand in self.by_name.get(op.name, []):
-                            s = self.summaries[cand.where]
-                            if s.fences_always or s.provides_guard:
+                            exits = self.summaries[cand.where].exits
+                            if exits.fenced or exits.phase == 2:
                                 has_durability = True
             return has_durability, has_mutation, has_raise
 

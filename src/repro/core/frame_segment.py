@@ -27,7 +27,7 @@ break it between any two persistence events.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -233,12 +233,6 @@ class FrameSegment:
     def slot(self, offset: int, site: int) -> Tuple[int, int]:
         return (self.device.read(offset + F_SLOTS + 2 * site),
                 self.device.read(offset + F_SLOTS + 2 * site + 1))
-
-    def top_frame(self) -> Optional[FrameView]:
-        top = self.top
-        if top == self.offset:
-            return None
-        return self.read_frame(top - FRAME_WORDS)
 
     # ------------------------------------------------------------------
     # Reset (task init and the finalize scrub)

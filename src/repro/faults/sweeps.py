@@ -690,7 +690,9 @@ def _fleet_failover() -> Sweep:
     survivors serve (reads *and* writes) while the victim fails fast
     with :class:`~repro.errors.ShardDownError`, then bring the victim
     back on the recovery gang.  Afterwards: committed KV state is
-    consistent on every shard, no session silently migrated, every
+    consistent on every shard, every request the victim served before
+    the crash survived (``crash_shard`` drops only the unserved ones),
+    no session silently migrated, every
     shard heap and the directory heap fsck clean, and the durable shard
     directory is byte-identical to an uncrashed fleet's — fail-over
     writes zero directory flushes by design.
@@ -750,7 +752,11 @@ def _fleet_failover() -> Sweep:
 
     def recover(ctx):
         fleet = ctx.fleet
-        fleet.crash_shard(VICTIM)
+        queued = list(fleet.shards[VICTIM].queue)
+        dropped = fleet.crash_shard(VICTIM)
+        # The drain served a prefix of the victim's queue before the
+        # power failure: those requests are done, not dropped.
+        assert dropped == sum(not r.done for r in queued), (dropped, queued)
         # Survivors keep serving while the victim is down: reads of
         # committed state and fresh writes both succeed...
         for shard_index in range(SHARDS):
@@ -778,6 +784,8 @@ def _fleet_failover() -> Sweep:
                                sessions=ctx.sessions,
                                committed=dict(ctx.committed),
                                inflight=dict(ctx.inflight),
+                               served={r.session_id: r.value for r in queued
+                                       if r.done and r.op == "put"},
                                placements_before=placements_before,
                                obs=fleet.shards[VICTIM].jvm.obs)
 
@@ -799,6 +807,10 @@ def _fleet_failover() -> Sweep:
         if completed:
             for sid, value in rctx.committed.items():
                 assert fleet.get(sid, "state") == value
+        # A request the victim served before the crash was not dropped:
+        # its write survived.
+        for sid, value in rctx.served.items():
+            assert fleet.get(sid, "state") == value, (sid, value)
         # Routing correctness: no session migrated across the fail-over.
         for sid, home in rctx.placements_before.items():
             assert fleet.route(sid) == home, (sid, home)

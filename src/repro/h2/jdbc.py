@@ -66,10 +66,6 @@ class Connection:
         return PreparedStatement(self, sql)
 
     # -- transaction control, JDBC style ------------------------------------
-    @property
-    def auto_commit(self) -> bool:
-        return self._auto_commit
-
     def set_auto_commit(self, value: bool) -> None:
         if not value and not self.database.in_transaction:
             self.database.begin()

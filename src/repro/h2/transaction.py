@@ -35,10 +35,6 @@ class TxContext:
         self.device.write_block(offset, values)
         self._writes.append((offset, old))
 
-    @property
-    def write_count(self) -> int:
-        return len(self._writes)
-
 
 class TransactionManager:
     """Serial transaction lifecycle (one open transaction at a time)."""

@@ -138,7 +138,3 @@ def decode_value(words, offset: int) -> Tuple[Any, int]:
             for i in range(nwords))
         return raw[:length].decode("utf-8"), 2 + nwords
     raise SqlError(f"corrupt value tag {tag}")
-
-
-def encoded_words(value: Any) -> int:
-    return len(encode_value(value))

@@ -45,10 +45,6 @@ class EntityTransaction:
     def rollback(self) -> None:
         self._em._rollback()
 
-    @property
-    def is_active(self) -> bool:
-        return self._em._tx_active
-
 
 # Provider-side bookkeeping cost per entity operation (StateManager
 # attachment, management-list upkeep, lifecycle checks) in nanoseconds of

@@ -606,12 +606,6 @@ class AddressSpace:
                 return mapping
         raise IllegalArgumentException(f"address {address:#x} is not mapped")
 
-    def mapping_of(self, device: MemoryDevice) -> Optional[Mapping]:
-        for mapping in self._mappings:
-            if mapping.device is device:
-                return mapping
-        return None
-
     @property
     def mappings(self) -> Tuple[Mapping, ...]:
         return tuple(self._mappings)

@@ -452,10 +452,6 @@ class MemoryPool:
     # Introspection for tests/benchmarks
     # ------------------------------------------------------------------
     @property
-    def heap_top(self) -> int:
-        return self.device.read(_HEAP_TOP)
-
-    @property
     def heap_offset(self) -> int:
         return self._heap_off
 

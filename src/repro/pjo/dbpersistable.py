@@ -65,11 +65,6 @@ def _kind_for(sql_type: SqlType) -> FieldKind:
     return FieldKind.INT
 
 
-def reference_field_names(meta: EntityMeta) -> set:
-    """Schema columns that are entity references (stored as direct refs)."""
-    return set(reference_field_targets(meta))
-
-
 def reference_field_targets(meta: EntityMeta) -> dict:
     """Reference column -> declared DBPersistable class of its target.
 

@@ -153,8 +153,3 @@ class LiveMap:
     def clear(self) -> None:
         self.begin.clear_all()
         self.live.clear_all()
-
-    @property
-    def words_needed(self) -> int:
-        """Device words needed to persist both bitmaps."""
-        return self.begin.num_words + self.live.num_words

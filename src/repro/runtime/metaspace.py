@@ -50,9 +50,6 @@ class KlassRegistry:
     def knows(self, address: int) -> bool:
         return address in self._by_address
 
-    def all_klasses(self) -> Iterable[Klass]:
-        return self._by_address.values()
-
 
 class Metaspace:
     """The DRAM Meta Space: hands out synthetic addresses for DRAM Klasses."""

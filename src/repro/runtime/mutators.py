@@ -221,13 +221,6 @@ class MutatorGang:
         self.obs.observe("mutators.steps", steps)
         return report
 
-    def run_ops(self, ops, event_log=None,
-                phase: str = "mutate") -> GangReport:
-        """Convenience: submit ``(mutator, name, factory)`` triples, run."""
-        for mutator, name, factory in ops:
-            self.submit(mutator, name, factory)
-        return self.run(event_log=event_log, phase=phase)
-
     def _record(self, mutator: int, op_name: str, kind: str,
                 payload: Any) -> None:
         self.history.append((self._step, mutator, op_name, kind, payload))

@@ -682,10 +682,6 @@ class EspressoVM:
             for address in walk_addresses:
                 scan(address)
 
-    @property
-    def dram_to_pjh_slots(self) -> Set[int]:
-        return set(self._remset_dram_to_pjh)
-
     def dram_remset_roots(self) -> List[RootSlot]:
         """Roots into PJH held by DRAM objects (for the persistent GC)."""
         return self._memory_roots(self._remset_dram_to_pjh)

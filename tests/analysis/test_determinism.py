@@ -64,14 +64,14 @@ def test_closure_report_identical_across_runs(tmp_path):
 FIXTURES = REPO_ROOT / "tests" / "analysis" / "fixtures"
 
 
-def run_static_order_cli(hashseed=None):
+def run_static_order_cli(hashseed=None, paths=FIXTURES):
     env = dict(os.environ)
     env["PYTHONPATH"] = REPO_SRC + os.pathsep + env.get("PYTHONPATH", "")
     if hashseed is not None:
         env["PYTHONHASHSEED"] = str(hashseed)
     return subprocess.run(
         [sys.executable, "-m", "repro.analysis", "--static-order",
-         "--paths", str(FIXTURES), "--rules", "ESP305", "--json"],
+         "--paths", str(paths), "--rules", "ESP305", "--json"],
         capture_output=True, text=True, env=env)
 
 
@@ -88,6 +88,45 @@ def test_static_order_json_stable_across_hashseed():
     outputs = {run_static_order_cli(hashseed=s).stdout for s in (0, 1, 4242)}
     assert len(outputs) == 1
     assert '"ESP505"' in outputs.pop()
+
+
+#: Nested try blocks around a loop that keeps opening transactions: one
+#: block collects more states than MAX_STATES_PER_BLOCK, so what widening
+#: merges depends on the order the engine steps states in.
+WIDENING_MODULE = """\
+def helper(h, fence=True, flag=False):
+    try:
+        try:
+            self.device.write(0, 1)
+        except Exception:
+            jvm.flush_reachable(h)
+        finally:
+            pd.flush(3)
+    except Exception:
+        if fence:
+            self.domain.flush_words(0, 2)
+    try:
+        if fence:
+            self.device.write(0, 1)
+        try:
+            self.device.write(0, 1)
+        except Exception:
+            self.domain.flush(0, 2)
+        for item in items:
+            txn.begin()
+    except Exception:
+        self.device.write(0, 1)
+"""
+
+
+def test_widened_static_order_stable_across_hashseed(tmp_path):
+    """States are stepped in a total order: a tie used to keep the order
+    string hashing gave the set, and the widened findings followed it."""
+    (tmp_path / "m.py").write_text(WIDENING_MODULE)
+    outputs = {run_static_order_cli(hashseed=s, paths=tmp_path).stdout
+               for s in (0, 1, 2)}
+    assert len(outputs) == 1
+    assert '"ESP503"' in outputs.pop()
 
 
 def test_static_order_in_tree_report_identical_across_runs():
