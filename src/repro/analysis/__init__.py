@@ -6,9 +6,8 @@ analyze``), all reporting stable ``ESPxxx`` rule codes through the shared
 
 1. **Persistent closure** (:mod:`repro.analysis.closure`, ESP1xx) —
    classifies every REF field of a persistable class as *closed*,
-   *escaping* or *open*; closed class graphs yield a
-   :class:`~repro.analysis.certificate.SafetyCertificate` that licenses
-   the runtime to elide the per-store safety barrier.
+   *escaping* or *open*, proving ahead of execution what the per-store
+   safety barrier checks at runtime.
 2. **Trace replay** (:mod:`repro.analysis.events`) — one walk of a
    recorded :class:`~repro.nvm.persist.PersistEventLog` yields the
    persist-order hazards (:mod:`repro.analysis.hazards`, ESP2xx) and the
@@ -23,13 +22,11 @@ analyze``), all reporting stable ``ESPxxx`` rule codes through the shared
    subsystems' source, on the call table the lint reads too.
 """
 
-from repro.analysis.certificate import SafetyCertificate
 from repro.analysis.closure import (
     ClosureReport,
     FieldClassification,
     analyze_closure,
     analyze_vm,
-    certify_session,
 )
 from repro.analysis.diagnostics import (
     AnalysisReport,
@@ -55,12 +52,10 @@ __all__ = [
     "HazardReport",
     "LintFinding",
     "RULE_CATALOGUE",
-    "SafetyCertificate",
     "analyze_closure",
     "analyze_elision",
     "analyze_trace",
     "analyze_vm",
     "certify_elision",
-    "certify_session",
     "lint_paths",
 ]

@@ -97,7 +97,7 @@ def _run_closure(report: AnalysisReport, verbose: bool) -> None:
                         | {STRING_KLASS_NAME, CHAR_ARRAY_KLASS_NAME})
         closure = analyze_vm(jvm.vm, persist_only=persist_only)
     summary = closure.summary()
-    summary["certified_fields"] = len(closure.certificate())
+    summary["certified_fields"] = len(closure.certified_fields)
     report.add_pass("closure", closure.diagnostics(include_open=verbose),
                     summary)
 

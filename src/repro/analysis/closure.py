@@ -11,10 +11,10 @@ subclass known to the analysis:
 * **escaping** — no class in the cone is persistable: every store into
   ``f`` would raise ``UnsafePointerError`` under type-based safety, so
   the class graph is broken by construction (ESP101).
-* **closed** — every class in the cone is *persist-only* (lives solely
-  in the PJH by the certificate's allocation premise): stores into ``f``
-  can only ever publish PJH-or-null values, so the runtime barrier is
-  provably a no-op and may be elided (ESP105 at info level).
+* **closed** — every class in the cone is *persist-only* (allocated
+  solely with ``pnew``): stores into ``f`` can only ever publish
+  PJH-or-null values, so the runtime barrier is provably a no-op
+  (ESP105 at info level).
 * **open** — anything in between, including ``java.lang.Object`` and
   fields with no declared type: safety depends on the runtime subtype
   and the store-time check must stay (ESP102/ESP103, info).
@@ -24,9 +24,11 @@ with the element class as declared type; ``[LT;`` cones follow Java's
 covariance (``[LS;`` for every ``S`` in cone(T)), primitive arrays are
 leaf cones.
 
-Closed fields of persist-only holder classes become a
-:class:`~repro.analysis.certificate.SafetyCertificate` entry; see that
-module for the premises and the dynamic revocation that guards them.
+The proof trusts two premises it cannot discharge alone: stores only
+ever hold instances of the field's declared type (what the Java verifier
+guarantees for real bytecode), and persist-only classes really are never
+allocated with ``new``.  The runtime barrier stays on every store either
+way; the verdicts are diagnostics, not a licence to skip it.
 """
 
 from __future__ import annotations
@@ -34,18 +36,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.certificate import FieldKey, SafetyCertificate
 from repro.analysis.diagnostics import Diagnostic, make_diagnostic, sort_key
 from repro.core import safety
-from repro.runtime.klass import (
-    CHAR_ARRAY_KLASS_NAME,
-    FieldKind,
-    Klass,
-    OBJECT_KLASS_NAME,
-    STRING_KLASS_NAME,
-)
+from repro.runtime.klass import FieldKind, Klass, OBJECT_KLASS_NAME
 
 ARRAY_FIELD = "[]"  # pseudo-field naming an array's element slots
+
+FieldKey = Tuple[str, str]  # (class name, field name); "[]" = array elements
 
 #: Primitive-array class names: leaf cones, trivially persistable data.
 _PRIM_ARRAY_NAMES = ("[J", "[D")
@@ -78,7 +75,7 @@ class FieldClassification:
 
 
 class ClosureReport:
-    """Classification of every analyzed field plus the derived certificate."""
+    """Classification of every analyzed field."""
 
     def __init__(self, fields: Sequence[FieldClassification],
                  persistable: Set[str], persist_only: Set[str],
@@ -101,25 +98,16 @@ class ClosureReport:
                       if name in self.persist_only
                       and name not in open_or_escaping)
 
-    def certificate(self, source: str = "closure-analysis"
-                    ) -> SafetyCertificate:
-        """Certify each closed field of a persist-only holder class.
+    @property
+    def certified_fields(self) -> List[FieldKey]:
+        """Closed fields of persist-only holder classes.
 
-        Elision is per-field: a closed field of an otherwise-open class
-        is still safe to skip, because its own cone never leaves the
-        persist-only set.
+        A closed field of a holder that may live in DRAM does not count:
+        its cone never leaves the persist-only set, but the holder does.
         """
-        closed: List[FieldKey] = []
-        dependencies: Dict[FieldKey, Set[str]] = {}
-        for f in self.fields:
-            if f.classification != "closed":
-                continue
-            if f.class_name not in self.persist_only:
-                continue
-            closed.append(f.key)
-            dependencies[f.key] = {f.class_name} | set(f.cone)
-        return SafetyCertificate(closed, self.persist_only, dependencies,
-                                 source=source)
+        return [f.key for f in self.fields
+                if f.classification == "closed"
+                and f.class_name in self.persist_only]
 
     def diagnostics(self, include_open: bool = False) -> List[Diagnostic]:
         out: List[Diagnostic] = []
@@ -319,29 +307,3 @@ def analyze_vm(vm, persistable: Optional[Iterable[str]] = None,
     if persist_only is None:
         persist_only = annotated
     return analyze_closure(klasses, persistable, persist_only)
-
-
-def certify_session(jvm, persist_only: Optional[Iterable[str]] = None,
-                    install: bool = True) -> SafetyCertificate:
-    """Analyze a live session and (optionally) install the certificate.
-
-    ``persist_only`` defaults to the session's annotation registry
-    (``jvm.config.persistent_types``).  The String
-    machinery (``java.lang.String`` and its ``[J`` value arrays) is
-    added optimistically — ``pnew_string`` is the only PJH string
-    factory — with the certificate's dynamic revocation as the safety
-    net: the first DRAM ``new_string`` revokes the dependent entries.
-    """
-    if persist_only is None:
-        registry = getattr(jvm.config, "persistent_types", None)
-        persist_only_set = registry.names() if registry is not None else set()
-    else:
-        persist_only_set = set(persist_only)
-    persist_only_set |= {STRING_KLASS_NAME, CHAR_ARRAY_KLASS_NAME}
-    vm = jvm.vm
-    report = analyze_vm(vm, persist_only=persist_only_set)
-    cert = report.certificate()
-    if install:
-        vm.safety_certificate = cert
-        jvm.config.safety_certificate = cert
-    return cert

@@ -81,15 +81,10 @@ class EspressoConfig:
     #: chosen by the gang's seed, not by this count — only how many
     #: simulated threads the work fans out over.
     mutators: int = 1
-    #: Analyzer-issued barrier-elision certificate (a
-    #: :class:`repro.analysis.SafetyCertificate`, kept untyped to avoid a
-    #: hard dependency).  Installed on the VM at construction and carried
-    #: across restart/restart(crash=True); see
-    #: :func:`repro.analysis.closure.certify_session`.
-    safety_certificate: Optional[object] = None
     #: Analyzer-issued flush/fence-elision certificate (a
-    #: :class:`repro.analysis.elision.FlushElisionCertificate`, untyped
-    #: for the same reason).  Installed on the VM and consumed by each
+    #: :class:`repro.analysis.elision.FlushElisionCertificate`, kept
+    #: untyped to avoid a hard dependency).  Installed on the VM and
+    #: carried across restart/restart(crash=True); consumed by each
     #: heap's :class:`~repro.nvm.persist.PersistDomain` at
     #: ``commit_epoch`` time; see
     #: :func:`repro.analysis.elision.certify_elision`.
@@ -139,7 +134,6 @@ class Espresso:
                              heap_config=config.heap_config,
                              alias_aware=config.alias_aware, obs=obs,
                              gc_workers=config.gc_workers)
-        self.vm.safety_certificate = config.safety_certificate
         self.vm.elision_certificate = config.elision_certificate
         self.vm.alloc_buffer_words = config.alloc_buffer_words
         self.vm.persistent_types = config.persistent_types

@@ -37,12 +37,9 @@ class Fig17Result:
     # only when the run traced with a live Observatory.
     obs: Dict[Tuple[str, str], Dict[str, object]] = field(
         default_factory=dict)
-    # (provider, op) -> ref-store barrier deltas ({"checks", "elided"}).
+    # (provider, op) -> ref-store barrier deltas ({"checks"}).
     barrier: Dict[Tuple[str, str], Dict[str, int]] = field(
         default_factory=dict)
-    # Barrier-elision summary: baseline vs certified PJO runs, durable
-    # image equality and fsck verdicts (empty unless ``certified=True``).
-    elision: Dict[str, object] = field(default_factory=dict)
     # Flush-elision summary: baseline vs trace-certified PJO runs —
     # clflush/sfence totals, combined reduction, durable-image SHA-256s
     # and fsck verdicts (empty unless ``flush_certified=True``).
@@ -50,17 +47,11 @@ class Fig17Result:
 
 
 def run(count: int, heap_dir: Path,
-        trace: bool = False, certified: bool = False,
+        trace: bool = False,
         flush_certified: bool = False) -> Fig17Result:
     """Run both providers; ``trace=True`` records per-operation span and
     counter deltas with one Observatory per provider (the default no-op
     recorder leaves timings and flush counts untouched).
-
-    ``certified=True`` adds a third run — H2-PJO with the static closure
-    analyzer's barrier-elision certificate installed — and records the
-    elided/checked barrier split plus proof that elision changed no
-    durable byte: the baseline and certified PJH images compare equal
-    and both pass fsck.
 
     ``flush_certified=True`` adds an unmeasured *probe* run that records
     the H2-PJO persist trace, certifies its redundant clflush/sfence
@@ -75,11 +66,11 @@ def run(count: int, heap_dir: Path,
     pjo_obs: Optional[Observatory] = Observatory() if trace else None
     ems: Dict[str, object] = {}
 
-    def pjo_factory(label: str, subdir: str, obs, certify: bool,
-                    elision_cert=None, **overrides):
+    def pjo_factory(label: str, subdir: str, obs, elision_cert=None,
+                    **overrides):
         def build(clock):
             em = make_pjo_em(
-                clock, BASIC_TEST.entities, heap_dir / subdir, certify=certify,
+                clock, BASIC_TEST.entities, heap_dir / subdir,
                 **overrides, **({"obs": obs} if obs is not None else {}))
             if elision_cert is not None:
                 em.jvm.vm.elision_certificate = elision_cert
@@ -97,24 +88,16 @@ def run(count: int, heap_dir: Path,
             **({"obs": jpa_obs} if jpa_obs is not None else {})),
         count, "H2-JPA", observatory=jpa_obs)
     pjo = run_jpab_test(
-        BASIC_TEST, pjo_factory("H2-PJO", "fig17", pjo_obs, False),
+        BASIC_TEST, pjo_factory("H2-PJO", "fig17", pjo_obs),
         count, "H2-PJO", observatory=pjo_obs)
     runs = [("H2-JPA", jpa), ("H2-PJO", pjo)]
-    if certified:
-        cert_obs: Optional[Observatory] = Observatory() if trace else None
-        cert = run_jpab_test(
-            BASIC_TEST,
-            pjo_factory("H2-PJO-certified", "fig17-certified", cert_obs,
-                        True),
-            count, "H2-PJO-certified", observatory=cert_obs)
-        runs.append(("H2-PJO-certified", cert))
     if flush_certified:
         flush_cert, probe_log = _probe_flush_elision(count, heap_dir)
         elided_obs: Optional[Observatory] = Observatory() if trace else None
         elided = run_jpab_test(
             BASIC_TEST,
             pjo_factory("H2-PJO-elided", "fig17-elided", elided_obs,
-                        False, elision_cert=flush_cert),
+                        elision_cert=flush_cert),
             count, "H2-PJO-elided", observatory=elided_obs)
         runs.append(("H2-PJO-elided", elided))
         # The pre-PR flush protocol (per-object top persists, no TLABs,
@@ -124,7 +107,7 @@ def run(count: int, heap_dir: Path,
         run_jpab_test(
             BASIC_TEST,
             pjo_factory("H2-PJO-coalesced", "fig17-coalesced", None,
-                        False, alloc_buffer_words=0),
+                        alloc_buffer_words=0),
             count, "H2-PJO-coalesced")
     for provider, test_result in runs:
         for op in OPERATIONS:
@@ -139,9 +122,6 @@ def run(count: int, heap_dir: Path,
             result.barrier[(provider, op)] = test_result.operations[op].barrier
             if trace:
                 result.obs[(provider, op)] = test_result.operations[op].obs
-    if certified:
-        result.elision = _elision_summary(ems["H2-PJO"],
-                                          ems["H2-PJO-certified"])
     if flush_certified:
         result.flush_elision = _flush_elision_summary(
             ems["H2-PJO-coalesced"], ems["H2-PJO"], ems["H2-PJO-elided"],
@@ -177,39 +157,6 @@ def _probe_flush_elision(count: int, root: Path):
     return certify_elision(em.jvm, log, install=False), log
 
 
-def _elision_summary(baseline_em, certified_em) -> Dict[str, object]:
-    """Totals, elision ratio, and the safety evidence (image + fsck)."""
-    import numpy as np
-
-    from repro.tools.fsck import fsck_heap
-
-    summary: Dict[str, object] = {}
-    for label, em in (("baseline", baseline_em), ("certified", certified_em)):
-        vm = em.jvm.vm
-        summary[label] = {"checks": vm.barrier_checks,
-                          "elided": vm.barrier_elided}
-    checked = summary["certified"]["checks"]
-    elided = summary["certified"]["elided"]
-    summary["elision_ratio"] = (elided / (checked + elided)
-                                if checked + elided else 0.0)
-    base_heap = baseline_em.jvm.heaps.heap("jpab")
-    cert_heap = certified_em.jvm.heaps.heap("jpab")
-    summary["durable_image_equal"] = bool(np.array_equal(
-        base_heap.device.durable_image(), cert_heap.device.durable_image()))
-    summary["fsck_clean"] = {
-        "baseline": fsck_heap(base_heap).clean,
-        "certified": fsck_heap(cert_heap).clean,
-    }
-    cert = certified_em.jvm.vm.safety_certificate
-    if cert is not None:
-        summary["certificate"] = {
-            "fields": len(cert),
-            "revocations": [list(r) for r in cert.revocations],
-            "fingerprint": cert.fingerprint,
-        }
-    return summary
-
-
 def _flush_elision_summary(coalesced_em, baseline_em, elided_em, cert,
                            probe_log) -> Dict[str, object]:
     """Whole-session (schema + CRUD) device counters of the three legs,
@@ -229,7 +176,7 @@ def _flush_elision_summary(coalesced_em, baseline_em, elided_em, cert,
 
 def table(result: Fig17Result) -> str:
     rows = []
-    providers = ["H2-JPA", "H2-PJO", "H2-PJO-certified", "H2-PJO-elided"]
+    providers = ["H2-JPA", "H2-PJO", "H2-PJO-elided"]
     for op in OPERATIONS:
         for provider in providers:
             if (provider, op) not in result.cells:
@@ -248,14 +195,6 @@ def table(result: Fig17Result) -> str:
         title=(f"Figure 17 — BasicTest breakdown, simulated ms for "
                f"{result.count} entities (paper: transformation vanishes "
                f"under PJO; execution also drops)"))]
-    if result.elision:
-        elision = result.elision
-        lines.append(
-            f"barrier elision: {elision['certified']['elided']} of "
-            f"{elision['certified']['elided'] + elision['certified']['checks']}"
-            f" ref-store barriers skipped "
-            f"({elision['elision_ratio']:.1%}); durable image equal: "
-            f"{elision['durable_image_equal']}")
     if result.flush_elision:
         lines.append(flush_elision_line(result.flush_elision))
     return "\n".join(lines)
@@ -283,7 +222,7 @@ def payload(result: Fig17Result) -> Dict[str, object]:
         "cells": slash_keys(result.cells),
         "nvm": slash_keys(result.nvm),
         "obs": slash_keys(result.obs),
-        "barrier": {**slash_keys(result.barrier), "elision": result.elision},
+        "barrier": slash_keys(result.barrier),
         "flush_elision": result.flush_elision,
     }
 
@@ -291,7 +230,6 @@ def payload(result: Fig17Result) -> Dict[str, object]:
 EXPERIMENT = Experiment(
     name="fig17", title="Figure 17 — BasicTest time breakdown",
     run=run,
-    full={"count": 100, "trace": True, "certified": True,
-          "flush_certified": True},
+    full={"count": 100, "trace": True, "flush_certified": True},
     ci={"count": 40},
     table=table, check=check, payload=payload)

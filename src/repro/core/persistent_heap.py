@@ -184,8 +184,8 @@ class PersistentHeap(PersistentSpaceService):
     def enable_event_log(self, name: str = "trace") -> PersistEventLog:
         """Start recording this heap's store/flush/fence/publish traffic.
 
-        While a log is attached, the VM keeps a publish tap active (which
-        also suspends barrier elision so every publish is observed).
+        While a log is attached, the VM keeps a publish tap active so
+        every PJH-to-PJH reference store is recorded as a publish.
         """
         if self.device.event_log is not None:
             raise ValueError(f"heap {self.name!r} already has an event log")

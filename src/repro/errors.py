@@ -140,13 +140,3 @@ class FleetBusyError(EspressoError):
             f"shard {shard} at admission limit ({in_flight} in flight)")
         self.shard = shard
         self.in_flight = in_flight
-
-
-class OrderingViolation(EspressoError):
-    """Raised by a strict persist domain on a broken durability ordering.
-
-    Code read back a "durable" invariant whose backing store was either
-    never enqueued for flushing, or enqueued but not yet committed by a
-    fence epoch — exactly the class of bug the REORDERED fault mode turns
-    into silent corruption.
-    """

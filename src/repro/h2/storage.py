@@ -17,7 +17,7 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import SqlError
+from repro.errors import CorruptHeapError, SqlError
 from repro.h2.catalog import TableDef
 from repro.h2.values import decode_value, encode_value, validate
 
@@ -81,6 +81,11 @@ class TableStorage:
             cursor = PAGE_HEADER_WORDS
             while cursor < PAGE_HEADER_WORDS + used:
                 row_words = self.device.read(base + cursor)
+                if row_words < ROW_HEADER_WORDS:  # would stall the walk
+                    raise CorruptHeapError(
+                        f"h2.table[{self.table.name}]",
+                        f"page {page} cursor {cursor}: row length "
+                        f"{row_words} is below the row header")
                 row_id = self.device.read(base + cursor + _ROW_ID)
                 live = self.device.read(base + cursor + _ROW_LIVE)
                 if live:
@@ -99,6 +104,11 @@ class TableStorage:
             cursor = PAGE_HEADER_WORDS
             while cursor < PAGE_HEADER_WORDS + used:
                 row_words = self.device.read(base + cursor)
+                if row_words < ROW_HEADER_WORDS:  # would stall the walk
+                    raise CorruptHeapError(
+                        f"h2.table[{self.table.name}]",
+                        f"page {page} cursor {cursor}: row length "
+                        f"{row_words} is below the row header")
                 live = self.device.read(base + cursor + _ROW_LIVE)
                 if live:
                     row_id = self.device.read(base + cursor + _ROW_ID)

@@ -37,8 +37,7 @@ class OperationResult:
     # Observatory span/counter deltas for this phase (empty when the
     # run used the no-op recorder).
     obs: Dict[str, object] = field(default_factory=dict)
-    # Ref-store barrier activity for this phase: barriers run ("checks")
-    # vs skipped via an analyzer certificate ("elided").  Zero for
+    # Ref-store barriers run in this phase ("checks").  Empty for
     # providers without an Espresso VM.
     barrier: Dict[str, int] = field(default_factory=dict)
 
@@ -70,7 +69,6 @@ def make_pjo_em(clock: Clock, entities, heap_dir,
                 field_tracking: bool = True,
                 deduplication: bool = True,
                 obs: Observatory = NULL_OBS,
-                certify: bool = False,
                 **overrides) -> PjoEntityManager:
     """*overrides* are :class:`~repro.api.EspressoConfig` fields, e.g.
     ``alloc_buffer_words=0`` for the per-object §4.1 top-persist protocol
@@ -81,15 +79,6 @@ def make_pjo_em(clock: Clock, entities, heap_dir,
     em = PjoEntityManager(jvm, field_tracking=field_tracking,
                           deduplication=deduplication)
     em.create_schema(entities)
-    if certify:
-        # Run the static closure analysis over the freshly defined dbp
-        # schema and install the barrier-elision certificate.  The db.*
-        # classes are persist-only by construction: the PJO provider
-        # allocates them exclusively with pnew.
-        from repro.analysis.closure import certify_session
-        db_names = {name for name in jvm.vm.metaspace.names()
-                    if name.startswith("db.")}
-        certify_session(jvm, persist_only=db_names)
     return em
 
 
@@ -127,7 +116,6 @@ def run_jpab_test(test: JpabTest, em_factory: Callable[[Clock], object],
         snapshot = clock.breakdown()
         nvm_before = snapshot_devices(devices)
         checks_before = vm.barrier_checks if vm is not None else 0
-        elided_before = vm.barrier_elided if vm is not None else 0
         obs_before = obs.phase_snapshot() if obs.enabled else None
         with obs.span(f"jpab.{operation.lower()}", test=test.name,
                       provider=provider):
@@ -139,8 +127,7 @@ def run_jpab_test(test: JpabTest, em_factory: Callable[[Clock], object],
             breakdown=clock.breakdown_since(snapshot),
             nvm=device_counters(devices, since=nvm_before),
             obs=obs.phase_since(obs_before) if obs_before is not None else {},
-            barrier=({"checks": vm.barrier_checks - checks_before,
-                      "elided": vm.barrier_elided - elided_before}
+            barrier=({"checks": vm.barrier_checks - checks_before}
                      if vm is not None else {}),
         )
     return result

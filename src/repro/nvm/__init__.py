@@ -22,7 +22,7 @@ from repro.nvm.device import (
 from repro.nvm.failpoints import DOCUMENTED_SITES, FailpointRegistry
 from repro.nvm.latency import DEFAULT_LATENCY, LatencyConfig
 from repro.nvm.namespace import NameManager
-from repro.nvm.persist import OrderingViolation, PersistDomain
+from repro.nvm.persist import PersistDomain
 from repro.nvm.publish import (
     durable_metadata,
     publish_point,
@@ -45,7 +45,6 @@ __all__ = [
     "MemoryDevice",
     "NameManager",
     "NvmDevice",
-    "OrderingViolation",
     "PersistDomain",
     "WORD_BYTES",
     "crc32_words",

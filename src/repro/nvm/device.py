@@ -517,19 +517,6 @@ class NvmDevice(MemoryDevice):
         self._check(offset)
         return int(self._durable[offset])
 
-    def line_state(self, line: int) -> str:
-        """Durability state of one cache line: dirty / unfenced / clean.
-
-        ``dirty`` — has stores never flushed; ``unfenced`` — flushed since
-        the last fence (REORDERED may still undo it); ``clean`` — durable.
-        Used by strict persist domains to diagnose ordering violations.
-        """
-        if line in self._dirty_lines:
-            return "dirty"
-        if line in self._unfenced:
-            return "unfenced"
-        return "clean"
-
 
 @dataclass(frozen=True)
 class Mapping:

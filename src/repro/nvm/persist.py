@@ -29,10 +29,10 @@ Deduplication within one epoch is free for the same reason: no fence
 separates the duplicate flushes, so no protocol may depend on the line's
 intermediate durable state.
 
-The ``strict`` debug mode (see also :meth:`assert_durable`) raises
-:class:`~repro.errors.OrderingViolation` when code reads back a durable
-invariant that depends on a store that was never enqueued — or was
-enqueued but not yet committed — before the read.
+Ordering bugs — a pointer made durable before its target was flushed and
+fenced (ESP201), a flush never fenced (ESP202) — are judged on a recorded
+:class:`PersistEventLog` by :mod:`repro.analysis.hazards`, in every fault
+mode.
 """
 
 from __future__ import annotations
@@ -40,12 +40,11 @@ from __future__ import annotations
 import json
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator, List, Set, Tuple
+from typing import Iterator, List, Set
 
-from repro.errors import OrderingViolation
 from repro.nvm.device import LINE_WORDS, NvmDevice
 
-__all__ = ["OrderingViolation", "PersistDomain", "PersistEventLog"]
+__all__ = ["PersistDomain", "PersistEventLog"]
 
 
 class PersistEventLog:
@@ -149,11 +148,10 @@ class PersistDomain:
     """
 
     def __init__(self, device: NvmDevice, name: str = "persist",
-                 enabled: bool = True, strict: bool = False) -> None:
+                 enabled: bool = True) -> None:
         self.device = device
         self.name = name
         self.enabled = enabled
-        self.strict = strict
         # Cache lines enqueued in the current (open) fence epoch.
         self._pending: Set[int] = set()
         #: Analyzer-issued flush-elision certificate (a
@@ -168,11 +166,6 @@ class PersistDomain:
     # ------------------------------------------------------------------
     # Enqueueing
     # ------------------------------------------------------------------
-    def _lines(self, offset: int, count: int) -> Tuple[int, int]:
-        if count < 1:
-            count = 1
-        return offset // LINE_WORDS, (offset + count - 1) // LINE_WORDS
-
     def flush(self, offset: int, count: int = 1) -> int:
         """Enqueue the lines covering ``[offset, offset+count)``.
 
@@ -195,7 +188,7 @@ class PersistDomain:
 
     def fork(self, suffix: str) -> "PersistDomain":
         """A sibling domain on the same device: own epoch queue, own
-        fence stream, inherited enabled/strict settings.
+        fence stream, inherited enabled setting.
 
         Simulated GC workers each fork the collector's domain so that a
         worker's fence boundaries (destination epoch committed before the
@@ -203,7 +196,7 @@ class PersistDomain:
         lines to any other worker's epochs.
         """
         child = PersistDomain(self.device, name=f"{self.name}:{suffix}",
-                              enabled=self.enabled, strict=self.strict)
+                              enabled=self.enabled)
         child.elision = self.elision
         return child
 
@@ -309,48 +302,6 @@ class PersistDomain:
     def pending_lines(self) -> int:
         return len(self._pending)
 
-    # ------------------------------------------------------------------
-    # Strict-mode durability assertions
-    # ------------------------------------------------------------------
-    def assert_durable(self, offset: int, count: int = 1) -> None:
-        """Raise :class:`OrderingViolation` unless the range is truly durable.
-
-        Three ways a "durable" read-back can lie, all caught here:
-        the line is still pending in the open epoch (enqueued, epoch never
-        committed), it is dirty and was never enqueued at all, or it was
-        flushed but not fenced (REORDERED may still undo it).
-        """
-        if not self.enabled:
-            return
-        first, last = self._lines(offset, count)
-        for line in range(first, last + 1):
-            if line in self._pending:
-                raise OrderingViolation(
-                    f"{self.name}: line {line} is enqueued but its epoch "
-                    f"was never committed — the invariant at offset "
-                    f"{offset} is not durable yet")
-            state = self.device.line_state(line)
-            if state == "dirty":
-                raise OrderingViolation(
-                    f"{self.name}: line {line} has unflushed stores that "
-                    f"were never enqueued — the invariant at offset "
-                    f"{offset} depends on a store no epoch covers")
-            if state == "unfenced":
-                raise OrderingViolation(
-                    f"{self.name}: line {line} was flushed but not fenced "
-                    f"— a reordered crash may still undo it")
-
-    def read_durable(self, offset: int) -> int:
-        """Read a word as recovery would see it; strict-checks first.
-
-        In ``strict`` mode this is the read-back guard the debug mode
-        promises: reading a durable invariant whose store was never
-        enqueued (or never committed) raises :class:`OrderingViolation`.
-        """
-        if self.strict:
-            self.assert_durable(offset)
-        return self.device.durable_word(offset)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"PersistDomain({self.name!r}, pending={len(self._pending)}, "
-                f"enabled={self.enabled}, strict={self.strict})")
+                f"enabled={self.enabled})")

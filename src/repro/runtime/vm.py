@@ -152,15 +152,12 @@ class EspressoVM:
         self._services: Dict[str, PersistentSpaceService] = {}
         self._current_service: Optional[PersistentSpaceService] = None
 
-        # Analyzer-issued barrier-elision certificate (repro.analysis):
-        # a SafetyCertificate whose covers(class, field) answers whether
-        # the ref-store barrier is provably a no-op for that store site.
-        # Kept duck-typed so the runtime never imports repro.analysis.
-        self.safety_certificate = None
         self.barrier_checks = 0
+        # Always 0; kept because the perf ledger (bench-ledger/metrics.py
+        # VM_COUNTERS) reads it in every workload.
         self.barrier_elided = 0
-        # While >0, a heap's event log needs publish events, so elision
-        # is suspended to keep hazard traces complete.
+        # While >0, a heap's event log needs publish events, so the
+        # ref-store barrier reports PJH-to-PJH stores to on_ref_publish.
         self._publish_taps = 0
 
         # Bootstrap klasses.
@@ -185,7 +182,6 @@ class EspressoVM:
         self.metaspace.add(klass)
         for service in self._services.values():
             service.on_class_defined(klass)
-        self._note_class_defined(klass)
         return klass
 
     def array_klass(self, element: Union[Klass, FieldKind]) -> Klass:
@@ -204,20 +200,7 @@ class EspressoVM:
         self.metaspace.add(klass)
         for service in self._services.values():
             service.on_class_defined(klass)
-        self._note_class_defined(klass)
         return klass
-
-    def _note_class_defined(self, klass: Klass) -> None:
-        """A class defined after certification may widen certified cones."""
-        cert = self.safety_certificate
-        if cert is None:
-            return
-        ancestors = []
-        k = klass.super_klass
-        while k is not None:
-            ancestors.append(k.name)
-            k = k.super_klass
-        cert.note_class_defined(klass.name, ancestors)
 
     def lookup_class(self, name: str) -> Klass:
         klass = self.metaspace.lookup(name)
@@ -284,8 +267,6 @@ class EspressoVM:
         if isinstance(klass, str):
             klass = self.lookup_class(klass)
         self.constant_pool.resolve(klass.name, klass)
-        if self.safety_certificate is not None:
-            self.safety_certificate.note_dram_allocation(klass.name)
         address = self._allocate_dram(klass.instance_words)
         self.access.init_instance(address, klass)
         self.clock.charge(self.latency.cpu_op_ns * 2)
@@ -294,8 +275,6 @@ class EspressoVM:
     def new_array(self, element: Union[Klass, FieldKind],
                   length: int) -> ObjectHandle:
         klass = self.array_klass(element)
-        if self.safety_certificate is not None:
-            self.safety_certificate.note_dram_allocation(klass.name)
         address = self._allocate_dram(klass.array_words(length))
         self.access.init_array(address, klass, length)
         return self.handle(address)
@@ -422,20 +401,6 @@ class EspressoVM:
             return bits_to_float(word)
         return word
 
-    def _elide_barrier(self, class_name: str, field_name: str) -> bool:
-        """Skip the ref-store barrier for certified-closed store sites.
-
-        Sound because a certified field's holder class is persist-only
-        (never in DRAM) and its value cone is persist-only-or-null, so
-        the full barrier would add no remset entry and the safety hook
-        would see nothing volatile.  Disabled while an event-log tap is
-        active so hazard traces record every publish.
-        """
-        cert = self.safety_certificate
-        if cert is None or self._publish_taps:
-            return False
-        return cert.covers(class_name, field_name)
-
     def _ref_store_barrier(self, slot_address: int, holder_address: int,
                            value_address: int) -> None:
         """Classify the store and maintain remsets + safety policy."""
@@ -468,11 +433,8 @@ class EspressoVM:
         word = self._word_for(descriptor.kind, value)
         self.access.set_field_word(address, offset, word)
         if descriptor.kind is FieldKind.REF:
-            if self._elide_barrier(klass.name, name):
-                self.barrier_elided += 1
-            else:
-                self.barrier_checks += 1
-                self._ref_store_barrier(address + offset, address, word)
+            self.barrier_checks += 1
+            self._ref_store_barrier(address + offset, address, word)
 
     def get_field(self, handle: ObjectHandle, name: str) -> FieldValue:
         address = self._require(handle).address
@@ -494,11 +456,8 @@ class EspressoVM:
         word = self._word_for(klass.element_kind, value)
         self.memory.write(slot, word)
         if klass.element_kind is FieldKind.REF:
-            if self._elide_barrier(klass.name, "[]"):
-                self.barrier_elided += 1
-            else:
-                self.barrier_checks += 1
-                self._ref_store_barrier(slot, address, word)
+            self.barrier_checks += 1
+            self._ref_store_barrier(slot, address, word)
 
     def array_get(self, handle: ObjectHandle, index: int) -> FieldValue:
         address = self._require(handle).address
@@ -537,13 +496,10 @@ class EspressoVM:
             src_address + layout.ARRAY_HEADER_WORDS + src_pos, length)
         self.memory.write_block(first_dst, words)
         if dst_klass.element_kind is FieldKind.REF:
-            if self._elide_barrier(dst_klass.name, "[]"):
-                self.barrier_elided += length
-            else:
-                self.barrier_checks += length
-                for i in range(length):
-                    self._ref_store_barrier(first_dst + i, dst_address,
-                                            int(words[i]))
+            self.barrier_checks += length
+            for i in range(length):
+                self._ref_store_barrier(first_dst + i, dst_address,
+                                        int(words[i]))
 
     def read_string(self, handle: ObjectHandle) -> str:
         value = self.get_field(self._require(handle), "value")

@@ -1,4 +1,4 @@
-"""Persistent-closure analysis: classification and certificates."""
+"""Persistent-closure analysis: field classification."""
 
 import pytest
 
@@ -6,7 +6,6 @@ from repro.analysis.closure import (
     ARRAY_FIELD,
     analyze_closure,
     analyze_vm,
-    certify_session,
 )
 from repro.api import Espresso
 from repro.runtime.klass import (
@@ -44,8 +43,7 @@ class TestClassification:
                                  persist_only={"P", "Q"})
         f = classification_of(report, "P", "q")
         assert f.classification == "closed"
-        cert = report.certificate()
-        assert cert.covers("P", "q")
+        assert ("P", "q") in report.certified_fields
         assert report.diagnostics() == []  # ESP101-free by default
 
     def test_subclass_outside_persist_only_opens_field(self):
@@ -59,7 +57,7 @@ class TestClassification:
         f = classification_of(report, "P", "q")
         assert f.classification == "open"
         assert "R" in f.reason
-        assert not report.certificate().covers("P", "q")
+        assert ("P", "q") not in report.certified_fields
 
     def test_object_declared_field_is_open(self):
         holder = Klass("P", [field("any", FieldKind.REF)])
@@ -94,15 +92,15 @@ class TestClassification:
         assert f.classification == "closed"
 
     def test_certificate_skips_closed_field_of_open_holder(self):
-        """Elision needs the holder persist-only too: a DRAM holder's
-        stores never reach persistent memory, but a mixed holder cone
-        cannot be keyed by class name alone."""
+        """A certified field needs its holder persist-only too: a DRAM
+        holder's stores never reach persistent memory, but a mixed holder
+        cone cannot be keyed by class name alone."""
         target = Klass("Q")
         holder = Klass("P", [field("q", FieldKind.REF, declared="Q")])
         report = analyze_closure([target, holder], persistable={"P", "Q"},
                                  persist_only={"Q"})
         assert classification_of(report, "P", "q").classification == "closed"
-        assert not report.certificate().covers("P", "q")
+        assert ("P", "q") not in report.certified_fields
 
 
 class TestLiveSession:
@@ -119,18 +117,8 @@ class TestLiveSession:
         assert classification_of(
             report, STRING_KLASS_NAME, "value").classification == "closed"
 
-    def test_certify_session_installs_on_vm_and_config(self, tmp_path):
-        jvm = Espresso(tmp_path)
-        jvm.define_class("Person", [
-            field("name", FieldKind.REF, declared=STRING_KLASS_NAME)])
-        cert = certify_session(jvm, persist_only={"Person"})
-        assert jvm.vm.safety_certificate is cert
-        assert jvm.config.safety_certificate is cert
-        assert cert.covers("Person", "name")
-        assert cert.covers(STRING_KLASS_NAME, "value")
-
     def test_dbp_schema_closes_varchar_and_reference_columns(self, tmp_path):
-        """The fig17 feedback loop: BasicTest's db.* schema certifies."""
+        """BasicTest's db.* schema is closed (what `make analyze` proves)."""
         from repro.jpab import BASIC_TEST
         from repro.pjo.provider import PjoEntityManager
         jvm = Espresso(tmp_path)
@@ -139,9 +127,8 @@ class TestLiveSession:
         em.create_schema(BASIC_TEST.entities)
         db_names = {name for name in jvm.vm.metaspace.names()
                     if name.startswith("db.")}
-        cert = certify_session(jvm, persist_only=db_names)
-        assert cert.covers("db.BasicPerson", "first_name")
-        assert len(cert) >= 4
         report = analyze_vm(jvm.vm, persist_only=db_names | {
             STRING_KLASS_NAME, "[J"})
+        assert ("db.BasicPerson", "first_name") in report.certified_fields
+        assert len(report.certified_fields) >= 4
         assert [d for d in report.diagnostics() if d.code == "ESP101"] == []

@@ -144,14 +144,3 @@ def test_static_order_in_tree_report_identical_across_runs():
 
     assert report_json() == report_json()
 
-
-def test_certificate_fingerprint_reproducible(tmp_path):
-    from repro.analysis.closure import certify_session
-
-    def fingerprint(where):
-        jvm = Espresso(where)
-        jvm.define_class("Person", [
-            field("name", FieldKind.REF, declared="java.lang.String")])
-        return certify_session(jvm, persist_only={"Person"}).fingerprint
-
-    assert fingerprint(tmp_path / "x") == fingerprint(tmp_path / "y")

@@ -148,7 +148,7 @@ class TestCommitEpochElision:
         domain.flush(0)
         domain.commit_epoch()
         assert device.stats.flushes_elided == 0
-        assert domain.read_durable(0) == 8
+        assert device.durable_word(0) == 8
 
     def test_mixed_epoch_elides_only_the_redundant_line(self, device,
                                                         domain):
@@ -166,7 +166,7 @@ class TestCommitEpochElision:
         # The epoch still had real work, so its fence was issued.
         assert device.stats.fences == fences + 1
         assert device.stats.fences_elided == 0
-        assert domain.read_durable(LINE_WORDS) == 3
+        assert device.durable_word(LINE_WORDS) == 3
 
     def test_fence_kept_when_an_unfenced_flush_awaits_ordering(
             self, device, domain):

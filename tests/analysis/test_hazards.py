@@ -314,22 +314,23 @@ class TestLiveTrace:
         assert report.stats["publishes"] >= 5
         assert report.findings == [], [d.render() for d in report.findings]
 
-    def test_elision_suspended_while_tracing(self, tmp_path):
-        """An installed certificate must not hide publishes from the
-        trace: the publish tap disables elision."""
-        from repro.analysis.closure import certify_session
+    def test_event_log_records_every_publish(self, tmp_path):
+        """Every PJH-to-PJH reference store made while the log is attached
+        (Person.name and each string's value array) is one publish."""
         jvm = Espresso(tmp_path)
         jvm.define_class("Person", [
             field("name", FieldKind.REF, declared="java.lang.String")])
         jvm.create_heap("h", 256 * 1024)
-        certify_session(jvm, persist_only={"Person"})
         heap = jvm.heaps.heap("h")
         log = heap.enable_event_log()
-        p = jvm.pnew("Person")
-        jvm.set_field(p, "name", jvm.pnew_string("x"))
-        jvm.flush_reachable(p)
+        checks = jvm.vm.barrier_checks
+        for _ in range(3):
+            p = jvm.pnew("Person")
+            jvm.set_field(p, "name", jvm.pnew_string("x"))
+            jvm.flush_reachable(p)
         heap.disable_event_log()
-        assert any(e[0] == "publish" for e in log.events)
+        publishes = [e for e in log.events if e[0] == "publish"]
+        assert len(publishes) == jvm.vm.barrier_checks - checks == 6
         assert analyze_trace(log).clean
 
     def test_resume_protocol_is_hazard_free(self, tmp_path):

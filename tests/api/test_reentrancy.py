@@ -83,15 +83,10 @@ def test_shared_clock_is_opt_in(tmp_path):
     assert a.clock is clock and b.clock is clock
 
 
-def test_certificates_and_type_registries_are_per_session(tmp_path):
+def test_type_registries_are_per_session(tmp_path):
     a = _session(tmp_path, "a")
     b = _session(tmp_path, "b")
-    marker = object()
-    a.config.safety_certificate = marker
-    a.vm.safety_certificate = marker
     a.persistent_type("Node")
-    assert b.vm.safety_certificate is None
-    assert b.config.safety_certificate is None
     assert "Node" not in b.config.persistent_types
     assert a.config.persistent_types is not b.config.persistent_types
 

@@ -122,8 +122,8 @@ def test_properties_exposed():
 def test_config_dataclass_fields():
     assert [f.name for f in EspressoConfig.__dataclass_fields__.values()] \
         == ["clock", "latency", "heap_config", "alias_aware", "observatory",
-            "gc_workers", "mutators", "safety_certificate",
-            "elision_certificate", "alloc_buffer_words", "resumable",
+            "gc_workers", "mutators", "elision_certificate",
+            "alloc_buffer_words", "resumable",
             "task_registry", "persistent_types"]
 
 

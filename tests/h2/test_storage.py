@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import SqlError
+from repro.errors import CorruptHeapError, SqlError
 from repro.h2.ast_nodes import ColumnDef
 from repro.h2.catalog import Catalog, TableDef
 from repro.h2.engine import Database
@@ -107,6 +107,23 @@ class TestRowStore:
         fresh = TableStorage(table, db.pages)
         assert fresh.row_count() == 10
         assert fresh.next_row_id == storage.next_row_id
+
+    def test_zero_row_header_is_typed_corruption(self, db):
+        """A row header that reads 0 would stall the page walk forever:
+        both walks report it as corruption naming table, page and cursor."""
+        storage, _ = make_table(db)
+        for i in range(3):
+            db.execute("INSERT INTO t VALUES (?, ?)", (i, f"v{i}"))
+        db.checkpoint()
+        page, cursor = storage.locators[2]
+        image = db.device.durable_image()
+        image[db.pages.page_offset(page) + cursor] = 0
+        db.device.load_image(image)
+        where = rf"h2\.table\[t\]: page {page} cursor {cursor}:"
+        with pytest.raises(CorruptHeapError, match=where):
+            Database(device=db.device)        # reopen: the _refresh walk
+        with pytest.raises(CorruptHeapError, match=where):
+            list(storage.scan())
 
     def test_oversized_row_rejected(self, db):
         storage, _ = make_table(db)

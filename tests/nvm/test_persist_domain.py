@@ -1,9 +1,8 @@
-"""PersistDomain: epoch batching, dedup, strict mode, pinned counts."""
+"""PersistDomain: epoch batching, dedup, pinned counts."""
 
 import numpy as np
 import pytest
 
-from repro.errors import OrderingViolation
 from repro.nvm.clock import Clock
 from repro.nvm.device import LINE_WORDS, FaultMode, NvmDevice
 from repro.nvm.persist import PersistDomain
@@ -103,7 +102,8 @@ class TestEpochBoundary:
         domain.flush(0)
         domain.fence()
         assert domain.pending_lines == 0
-        assert device.line_state(0) == "clean"
+        assert device.dirty_line_count == 0
+        assert not device.has_unfenced
 
     def test_fence_without_pending_still_fences(self, device, domain):
         # Drain point for flushes issued directly on the device.
@@ -112,48 +112,6 @@ class TestEpochBoundary:
         domain.fence()
         assert device.stats.fences == 1
         assert device.durable_word(0) == 5
-
-
-class TestStrictMode:
-    def test_read_durable_raises_on_unenqueued_store(self, device):
-        domain = PersistDomain(device, strict=True)
-        device.write(0, 7)  # dirty, never enqueued
-        with pytest.raises(OrderingViolation):
-            domain.read_durable(0)
-
-    def test_read_durable_raises_on_uncommitted_epoch(self, device):
-        domain = PersistDomain(device, strict=True)
-        device.write(0, 7)
-        domain.flush(0)  # enqueued, epoch never committed
-        with pytest.raises(OrderingViolation):
-            domain.read_durable(0)
-
-    def test_read_durable_raises_on_unfenced_flush(self, device):
-        # Unfenced flushes are only revocable (and therefore tracked)
-        # under the REORDERED fault model.
-        device.set_fault_mode(FaultMode.REORDERED, seed=1)
-        domain = PersistDomain(device, strict=True)
-        device.write(0, 7)
-        device.clflush(0, asynchronous=True)  # flushed, not fenced
-        with pytest.raises(OrderingViolation):
-            domain.read_durable(0)
-
-    def test_read_durable_passes_after_commit(self, device):
-        domain = PersistDomain(device, strict=True)
-        device.write(0, 7)
-        domain.flush(0)
-        domain.commit_epoch()
-        assert domain.read_durable(0) == 7
-
-    def test_non_strict_read_does_not_raise(self, device, domain):
-        device.write(0, 7)
-        assert domain.read_durable(0) == 0  # stale, but no exception
-
-    def test_assert_durable_names_the_domain(self, device):
-        domain = PersistDomain(device, name="wal", strict=True)
-        device.write(0, 7)
-        with pytest.raises(OrderingViolation, match="wal"):
-            domain.assert_durable(0)
 
 
 class TestPinnedFlushCounts:

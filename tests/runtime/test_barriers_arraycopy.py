@@ -75,6 +75,28 @@ class TestRemsets:
         fetched = jvm.get_field(holder, "ref")
         assert fetched.same_object(target)
 
+    def test_every_ref_store_runs_the_barrier(self, jvm):
+        """set_field, array_set and an n-element array_copy run the barrier
+        1, 1 and n times, even on a persist-only class the closure
+        analysis classifies closed."""
+        from repro.analysis.closure import analyze_vm
+        vm = jvm.vm
+        node = jvm.define_class(
+            "BNode6", [field("ref", FieldKind.REF, declared="BNode6")])
+        nodes = vm.array_klass(node)
+        report = analyze_vm(vm, persist_only={"BNode6", nodes.name})
+        assert {("BNode6", "ref"), (nodes.name, "[]")} \
+            <= set(report.certified_fields)
+        holder, target = jvm.pnew(node), jvm.pnew(node)
+        src, dst = jvm.pnew_array(node, 5), jvm.pnew_array(node, 5)
+        before = vm.barrier_checks
+        jvm.set_field(holder, "ref", target)
+        assert vm.barrier_checks == before + 1
+        jvm.array_set(src, 0, target)
+        assert vm.barrier_checks == before + 2
+        vm.array_copy(src, 0, dst, 0, 5)
+        assert vm.barrier_checks == before + 7
+        assert vm.barrier_elided == 0
 
 class TestArrayCopy:
     @pytest.fixture
