@@ -3,16 +3,30 @@ export PYTHONPATH := src
 
 .PHONY: check test test-ledger sweep sweep-fast sweep-pytest fsck analyze \
 	lint-persist lint-time obs-report fleet-smoke \
-	concurrent-smoke elision-report experiments bench bench-traced \
-	bench-compare bench-ab
+	concurrent-smoke elision-report experiments examples bench bench-traced \
+	bench-compare bench-ab census
 
 # The CI gate: the full static analyzer, the tier-1 suite, a strided
 # smoke pass of every crash sweep (including the fleet fail-over and
 # concurrent-gang layers), the end-to-end fleet and gang smokes, the
 # flush-elision gates, every paper experiment at its documented size,
-# then the perf ledger's own tests.
+# the examples, then the perf ledger's own tests.
 check: analyze test sweep-fast fleet-smoke concurrent-smoke elision-report \
-	experiments test-ledger
+	experiments examples test-ledger
+
+# Every script under examples/ (a few seconds).  The ones that take a
+# heap directory get one inside a temporary directory removed afterwards;
+# the rest clean up after themselves.
+examples:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && set -e && \
+	for run in "quickstart.py $$tmp/qs" "quickstart.py $$tmp/qs" \
+	    "persistent_kv_store.py $$tmp/kv set hits 1" \
+	    "persistent_kv_store.py $$tmp/kv incr hits" \
+	    "persistent_kv_store.py $$tmp/kv list" \
+	    crash_recovery.py database_app.py porting_from_pcj.py \
+	    tpcc_demo.py; do \
+	  echo "== examples/$$run"; $(PYTHON) examples/$$run; \
+	done
 
 # Every paper experiment (repro.bench.__main__.EXPERIMENTS) at full size,
 # ~70 s: prints each table and checks each shape claim, so a figure that
@@ -109,6 +123,13 @@ bench-traced:
 #   make bench-compare OLD=before.json NEW=after.json
 bench-compare:
 	$(PYTHON) bench-ledger/compare.py $(OLD) $(NEW)
+
+# Which src/repro lines no gate executes (tools/census.py): runs every
+# gate above plus each ledger workload once under a line tracer and
+# writes CENSUS.json; exit 1 on a definition no gate runs.  About 13 min
+# on two cores, so it runs per anchor, not in `make check`.
+census:
+	$(PYTHON) tools/census.py
 
 # Parent vs change, alternating, N pairs on seeds 1..N, with the
 # choosing-metrics verdict per end-to-end metric (tools/bench_ab.py):

@@ -57,34 +57,35 @@ def read_list(jvm, head):
 
 
 def main() -> None:
-    heap_dir = Path(tempfile.mkdtemp(prefix="espresso-crash-"))
-    jvm, expected = build_workload(heap_dir)
-    print(f"Built {LISTS} persistent lists plus garbage in {heap_dir}.")
+    with tempfile.TemporaryDirectory(prefix="espresso-crash-") as tmp:
+        heap_dir = Path(tmp)
+        jvm, expected = build_workload(heap_dir)
+        print(f"Built {LISTS} persistent lists plus garbage in {heap_dir}.")
 
-    # Arm a failpoint: die after the 3rd region finishes evacuating.
-    jvm.vm.failpoints.crash_on_hit("gc.compact.region_done", 3)
-    try:
-        jvm.persistent_gc()
-        raise SystemExit("expected the injected crash to fire")
-    except SimulatedCrash as crash:
-        print(f"CRASH mid-collection: {crash}")
-    jvm.vm.failpoints.clear()
-    jvm.crash()  # power loss: unflushed cache lines are gone
+        # Arm a failpoint: die after the 3rd region finishes evacuating.
+        jvm.vm.failpoints.crash_on_hit("gc.compact.region_done", 3)
+        try:
+            jvm.persistent_gc()
+            raise SystemExit("expected the injected crash to fire")
+        except SimulatedCrash as crash:
+            print(f"CRASH mid-collection: {crash}")
+        jvm.vm.failpoints.clear()
+        jvm.crash()  # power loss: unflushed cache lines are gone
 
-    print("Rebooting a fresh JVM and loading the heap...")
-    jvm2 = Espresso(heap_dir)
-    heap, report = jvm2.heaps.load_heap_with_report("demo")
-    print(f"  recovery ran: {report.recovery.performed}")
-    print(f"  regions replayed: {report.recovery.regions_replayed}, "
-          f"objects re-copied: {report.recovery.objects_recopied}, "
-          f"root entries redone: {report.recovery.roots_redone}")
+        print("Rebooting a fresh JVM and loading the heap...")
+        jvm2 = Espresso(heap_dir)
+        heap, report = jvm2.heaps.load_heap_with_report("demo")
+        print(f"  recovery ran: {report.recovery.performed}")
+        print(f"  regions replayed: {report.recovery.regions_replayed}, "
+              f"objects re-copied: {report.recovery.objects_recopied}, "
+              f"root entries redone: {report.recovery.roots_redone}")
 
-    for name, values in expected.items():
-        got = read_list(jvm2, jvm2.get_root(name))
-        status = "OK" if got == values else f"CORRUPT: {got}"
-        print(f"  {name}: {status}")
-        assert got == values
-    print("All lists intact after crash + recovery.")
+        for name, values in expected.items():
+            got = read_list(jvm2, jvm2.get_root(name))
+            status = "OK" if got == values else f"CORRUPT: {got}"
+            print(f"  {name}: {status}")
+            assert got == values
+        print("All lists intact after crash + recovery.")
 
 
 if __name__ == "__main__":

@@ -2,7 +2,7 @@
 """Coarse-grained persistence: the same app on JPA and on PJO.
 
 One entity class, one workload (Figure 3's begin/persist/commit pattern),
-two providers: the classic JPA stack (object -> SQL -> JDBC -> H2-on-NVM)
+two providers: the classic JPA stack (object -> SQL -> H2-on-NVM)
 and Espresso's PJO (DBPersistable objects shipped straight into PJH).
 Prints per-phase simulated time so the Figure 17 story — "the SQL
 transformation phase is removed" — is visible in a 40-line app.
@@ -68,22 +68,23 @@ def main() -> None:
     workload(jpa_em, "H2-JPA", jpa_clock)
 
     # --- PJO: identical code, DBPersistables into PJH --------------------
-    heap_dir = Path(tempfile.mkdtemp(prefix="espresso-db-"))
-    jvm = Espresso(heap_dir)
-    jvm.create_heap("bank", 8 * 1024 * 1024)
-    pjo_em = PjoEntityManager(jvm)
-    pjo_em.create_schema([Account])
-    workload(pjo_em, "H2-PJO", jvm.clock)
+    with tempfile.TemporaryDirectory(prefix="espresso-db-") as tmp:
+        heap_dir = Path(tmp)
+        jvm = Espresso(heap_dir)
+        jvm.create_heap("bank", 8 * 1024 * 1024)
+        pjo_em = PjoEntityManager(jvm)
+        pjo_em.create_schema([Account])
+        workload(pjo_em, "H2-PJO", jvm.clock)
 
-    # PJO survives a restart with zero reload work for the entities:
-    jvm.shutdown()
-    jvm2 = Espresso(heap_dir)
-    jvm2.load_heap("bank")
-    em2 = PjoEntityManager(jvm2)
-    account = em2.find(Account, 7)
-    print(f"after restart: account 7 -> owner={account.owner!r}, "
-          f"balance={account.balance}")
-    assert account.balance == 701
+        # PJO survives a restart with zero reload work for the entities:
+        jvm.shutdown()
+        jvm2 = Espresso(heap_dir)
+        jvm2.load_heap("bank")
+        em2 = PjoEntityManager(jvm2)
+        account = em2.find(Account, 7)
+        print(f"after restart: account 7 -> owner={account.owner!r}, "
+              f"balance={account.balance}")
+        assert account.balance == 701
 
 
 if __name__ == "__main__":

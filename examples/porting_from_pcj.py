@@ -70,25 +70,26 @@ def pcj_side():
 # The Espresso way (paper Figure 9): the same class, plus pnew.
 # ---------------------------------------------------------------------------
 def pjh_side():
-    jvm = Espresso(Path(tempfile.mkdtemp(prefix="espresso-porting-")))
-    jvm.create_heap("people", 16 << 20)
-    person_klass = jvm.define_class(
-        "Person", [field("id", FieldKind.INT),     # plain int field!
-                   field("name", FieldKind.REF)])  # plain String reference
-    clock = jvm.clock
-    start = clock.now_ns
-    people = []
-    for i in range(COUNT):
-        p = jvm.pnew(person_klass)
-        jvm.set_field(p, "id", i)
-        jvm.set_field(p, "name", jvm.pnew_string(f"person-{i}"))
-        jvm.flush_reachable(p)
-        people.append(p)
-    create_ns = (clock.now_ns - start) / COUNT
-    start = clock.now_ns
-    checksum = sum(jvm.get_field(p, "id") for p in people)
-    get_ns = (clock.now_ns - start) / COUNT
-    return create_ns, get_ns, checksum
+    with tempfile.TemporaryDirectory(prefix="espresso-porting-") as tmp:
+        jvm = Espresso(Path(tmp))
+        jvm.create_heap("people", 16 << 20)
+        person_klass = jvm.define_class(
+            "Person", [field("id", FieldKind.INT),     # plain int field!
+                       field("name", FieldKind.REF)])  # plain String reference
+        clock = jvm.clock
+        start = clock.now_ns
+        people = []
+        for i in range(COUNT):
+            p = jvm.pnew(person_klass)
+            jvm.set_field(p, "id", i)
+            jvm.set_field(p, "name", jvm.pnew_string(f"person-{i}"))
+            jvm.flush_reachable(p)
+            people.append(p)
+        create_ns = (clock.now_ns - start) / COUNT
+        start = clock.now_ns
+        checksum = sum(jvm.get_field(p, "id") for p in people)
+        get_ns = (clock.now_ns - start) / COUNT
+        return create_ns, get_ns, checksum
 
 
 def main() -> None:

@@ -63,16 +63,6 @@ class FieldClassification:
     def key(self) -> FieldKey:
         return (self.class_name, self.field_name)
 
-    def to_dict(self) -> dict:
-        return {
-            "class": self.class_name,
-            "field": self.field_name,
-            "declared": self.declared,
-            "classification": self.classification,
-            "reason": self.reason,
-            "cone": list(self.cone),
-        }
-
 
 class ClosureReport:
     """Classification of every analyzed field."""
@@ -155,12 +145,6 @@ class ClosureReport:
             "open": len(self.by_classification("open")),
             "closed_classes": self.closed_classes,
             "persist_only": sorted(self.persist_only),
-        }
-
-    def to_dict(self) -> dict:
-        return {
-            "fields": [f.to_dict() for f in self.fields],
-            "summary": self.summary(),
         }
 
 

@@ -51,27 +51,29 @@ def run(transactions: int, heap_dir: Path, seed: int = 7,
     certificate installed; ``result.flush_elision`` carries the totals,
     the reduction, SHA-256s of both saved heap images and fsck verdicts.
     """
-    jpa = run_tpcc("jpa", transactions, seed, heap_dir / "jpa",
+    jpa = run_tpcc("jpa", transactions, seed, heap_dir=heap_dir / "jpa",
                    observatory=Observatory() if trace else None)
-    pjo = run_tpcc("pjo", transactions, seed, heap_dir / "pjo",
+    pjo = run_tpcc("pjo", transactions, seed, heap_dir=heap_dir / "pjo",
                    observatory=Observatory() if trace else None)
     result = TpccBenchResult(jpa=jpa, pjo=pjo)
     if flush_certified:
         from repro.analysis.elision import PJH_SCOPES, certify_elision
-        probe = run_tpcc("pjo", transactions, seed, heap_dir / "pjo-probe",
+        probe = run_tpcc("pjo", transactions, seed,
+                         heap_dir=heap_dir / "pjo-probe",
                          record_trace=True)
         cert = certify_elision(
             None, probe.trace,
             scopes=("pjh:tpcc",) + PJH_SCOPES, install=False)
         result.pjo_elided = run_tpcc(
-            "pjo", transactions, seed, heap_dir / "pjo-elided",
+            "pjo", transactions, seed, heap_dir=heap_dir / "pjo-elided",
             observatory=Observatory() if trace else None,
             elision_certificate=cert)
         # The pre-PR flush protocol: per-object top persists (no TLABs)
         # and no certificate — PR 2's epoch-coalescing-only baseline the
         # pinned reduction is measured against.
         coalesced = run_tpcc("pjo", transactions, seed,
-                             heap_dir / "pjo-coalesced", alloc_buffer_words=0)
+                             heap_dir=heap_dir / "pjo-coalesced",
+                             alloc_buffer_words=0)
         result.flush_elision = _flush_elision_summary(
             heap_dir, coalesced, pjo, result.pjo_elided, cert, probe.trace)
     return result

@@ -77,9 +77,6 @@ class KlassSegment:
     # ------------------------------------------------------------------
     # Lookup / aliasing
     # ------------------------------------------------------------------
-    def lookup(self, name: str) -> Optional[Klass]:
-        return self._by_name.get(name)
-
     def klass_count(self) -> int:
         return len(self._by_name)
 

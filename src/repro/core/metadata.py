@@ -228,7 +228,6 @@ class MetadataArea:
         self.device = device
         # The §6.4 "recoverable GC cost" baseline disables every clflush;
         # a disabled persist domain over the same device implements it.
-        self.flushing = flushing
         self.persist = PersistDomain(device, name="pjh-meta", enabled=flushing)
 
     # -- low-level persisted word access ------------------------------------

@@ -107,7 +107,10 @@ class PersistentHeap(PersistentSpaceService):
             f"pjh:{self.name}", self.base_address + self.layout.data_offset,
             self.layout.data_words)
         self.data_space.set_top(self.metadata.top)
-        self._durable_top_watermark = self.metadata.top
+        # A charged device read whose value nothing uses: pinned simulated
+        # time and read counts include it, as they do the same read after
+        # a slow-path allocation and after a collection.
+        self.metadata.top
         # Per-mutator allocation buffers, keyed by mutator slot.  Always
         # empty right after a mount: fresh heaps have no claims, and
         # recovery (validate_and_truncate) settles any crashed claims
@@ -294,7 +297,7 @@ class PersistentHeap(PersistentSpaceService):
         self.device.fill(offset, size_words, 0)
         self.persist.persist(offset, size_words)
         self.metadata.set_top(self.data_space.top)
-        self._durable_top_watermark = self.metadata.top
+        self.metadata.top  # charged read, see _mount_components
         return address
 
     def _refill_buffer(self, slot: int, buffer_words: int) -> _AllocBuffer:
@@ -348,7 +351,6 @@ class PersistentHeap(PersistentSpaceService):
                 del self._buffers[slot]
                 self.data_space.set_top(buf.cursor)
                 self.metadata.set_top(buf.cursor)
-                self._durable_top_watermark = buf.cursor
                 self.metadata.clear_alloc_buffer_entry(slot)
                 self.vm.failpoints.hit("pjh.alloc.buffer_retired")
             else:
@@ -492,7 +494,6 @@ class PersistentHeap(PersistentSpaceService):
                     truncated += gap
                     self.data_space.set_top(cursor)
                     self.metadata.set_top(cursor)
-                    self._durable_top_watermark = cursor
                 else:
                     self._write_filler(cursor, gap)
             self.metadata.clear_alloc_buffer_entry(slot)
@@ -524,7 +525,6 @@ class PersistentHeap(PersistentSpaceService):
             truncated += top - cursor
             self.data_space.set_top(cursor)
             self.metadata.set_top(cursor)
-            self._durable_top_watermark = cursor
         return truncated
 
     def zeroing_scan(self, workers: Optional[int] = None) -> int:
@@ -635,7 +635,7 @@ class PersistentHeap(PersistentSpaceService):
         # live buffer first (fillers become garbage and are reclaimed).
         self._retire_all_buffers()
         result = PersistentGC(self).collect()
-        self._durable_top_watermark = self.metadata.top
+        self.metadata.top  # charged read, see _mount_components
         return result
 
     @property

@@ -218,13 +218,6 @@ class NvmGCHooks(GCHooks):
     def persist_range(self, address: int, size_words: int) -> None:
         self._flush(address - self.heap.base_address, size_words)
 
-    def persist_headers(self, addresses) -> None:
-        # Headers of objects in the same line (small-object batches) dedupe
-        # to a single flush within the epoch.
-        for address in addresses:
-            self.persist.flush(address - self.heap.base_address, 1)
-        self.persist.commit_epoch()
-
     # -- serialized-protocol state ---------------------------------------------
     def region_cursor(self):
         return self.metadata.region_cursor()

@@ -93,14 +93,8 @@ class PersistentTypeRegistry:
     # The decorator spelling mirrors the old module-level function.
     persistent_type = add
 
-    def discard(self, target) -> None:
-        self._names.discard(_name_of(target))
-
     def __contains__(self, name: str) -> bool:
         return name in self._names
-
-    def __len__(self) -> int:
-        return len(self._names)
 
     def names(self) -> Set[str]:
         return set(self._names)

@@ -270,12 +270,6 @@ class FleetRouter:
                 "placement")
         return shard
 
-    def shard_state(self, index: int) -> str:
-        return self.shards[index].state
-
-    def up_shards(self) -> List[int]:
-        return [s.index for s in self.shards if s.state == SHARD_UP]
-
     # -- request lifecycle ---------------------------------------------
     def submit(self, session_id: str, op: str, key: str,
                value: Optional[str] = None) -> Request:

@@ -11,7 +11,7 @@ touched — the same protocol the pjhlib crash sweep pins.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional
 
 from repro.pjhlib import PjhHashmap, PjhString, PjhTransaction
 
@@ -65,13 +65,3 @@ class ShardStore:
 
     def delete(self, key: str) -> bool:
         return self.table.remove_raw(key)
-
-    def size(self) -> int:
-        return self.table.size()
-
-    def items(self) -> List[Tuple[str, str]]:
-        """Sorted (key, value) pairs — deterministic for invariants."""
-        jvm = self.jvm
-        pairs = [(jvm.read_string(k), jvm.read_string(v))
-                 for k, v in self.table.items()]
-        return sorted(pairs)

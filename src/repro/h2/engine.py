@@ -3,7 +3,7 @@
 One :class:`Database` instance is one database "file" on a simulated
 NVDIMM (its own :class:`~repro.nvm.device.NvmDevice`), exactly the setup
 of the paper's baseline where unmodified H2 runs on NVM.  SQL statements
-arrive as text (from the JPA provider over JDBC), are parsed against
+arrive as text (from the JPA provider), are parsed against
 simulated CPU cost, and executed with crash-consistent WAL transactions.
 
 Device layout::
@@ -78,9 +78,6 @@ class ResultSet:
         if not self.rows or not self.rows[0]:
             return None
         return self.rows[0][0]
-
-    def __len__(self) -> int:
-        return len(self.rows)
 
 
 class Database:
@@ -192,10 +189,6 @@ class Database:
         self.txman.rollback(tx)
         # Volatile structures may reflect rolled-back changes: rebuild.
         self._reload_volatile()
-
-    @property
-    def in_transaction(self) -> bool:
-        return self.txman.current is not None
 
     # ------------------------------------------------------------------
     # Execution

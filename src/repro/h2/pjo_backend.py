@@ -4,7 +4,7 @@ Paper §6.1: making H2 support PJO and PJH "takes about 600 LoC ... mainly
 for the DBPersistable interface [and] replacing new with pnew.  The data
 structures for transaction control (like logging) remain intact."
 
-This module is that delta: instead of receiving SQL text over JDBC, the
+This module is that delta: instead of receiving SQL text, the
 backend receives ``DBPersistable`` objects (which already live in PJH,
 Figure 14c) and stores them in ``pnew``-allocated table structures — a
 persistent hash map per root table, keyed by primary key.  ACID comes from

@@ -203,5 +203,3 @@ class TableStorage:
         tx.write(base, row)
         return True
 
-    def row_count(self) -> int:
-        return len(self.locators)

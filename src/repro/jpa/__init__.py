@@ -2,7 +2,7 @@
 
 A DataNucleus-like provider: annotated entity classes, an enhancer that
 injects StateManagers, an EntityManager with ACID transactions, and an
-object->SQL transformation layer feeding an H2-style database over JDBC.
+object->SQL transformation layer feeding an embedded H2-style database.
 Figure 4 measures this stack's commit breakdown; PJO (:mod:`repro.pjo`)
 replaces its flush path while keeping the API.
 """

@@ -4,7 +4,8 @@
 works verbatim (modulo Python spelling).  The abstract base implements
 lifecycle bookkeeping — the managed-object list, identity map, cascades —
 and providers implement the four flush primitives.  The JPA provider here
-flushes through SQL text over JDBC; :mod:`repro.pjo.provider` flushes
+flushes through SQL text executed by the embedded engine;
+:mod:`repro.pjo.provider` flushes
 ``DBPersistable`` objects straight into PJH.
 """
 
@@ -14,7 +15,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Type
 
 from repro.errors import IllegalArgumentException, IllegalStateException
 from repro.h2.engine import Database
-from repro.h2.jdbc import Connection, connect
 from repro.nvm.clock import Clock
 
 from repro.jpa.annotations import attach_state, state_of
@@ -310,18 +310,17 @@ class AbstractEntityManager:
 
 
 class JpaEntityManager(AbstractEntityManager):
-    """The DataNucleus-like provider: objects -> SQL -> JDBC -> H2.
+    """The DataNucleus-like provider: objects -> SQL -> H2.
 
     Every flush primitive splits its cost between the ``transformation``
     scope (SQL text generation, result-row conversion) and the ``database``
-    scope (JDBC execution) so the Figure 4 / Figure 17 breakdowns fall out
+    scope (statement execution) so the Figure 4 / Figure 17 breakdowns fall out
     of measurement.
     """
 
     def __init__(self, database: Database) -> None:
         super().__init__(database.clock)
         self.database = database
-        self.connection: Connection = connect(database)
         self._cpu_ns = database.cpu_op_ns
 
     # -- schema -------------------------------------------------------------

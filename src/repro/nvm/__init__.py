@@ -23,12 +23,7 @@ from repro.nvm.failpoints import DOCUMENTED_SITES, FailpointRegistry
 from repro.nvm.latency import DEFAULT_LATENCY, LatencyConfig
 from repro.nvm.namespace import NameManager
 from repro.nvm.persist import PersistDomain
-from repro.nvm.publish import (
-    durable_metadata,
-    publish_point,
-    registered_durable_metadata,
-    registered_publish_points,
-)
+from repro.nvm.publish import durable_metadata, publish_point
 
 __all__ = [
     "AddressSpace",
@@ -50,6 +45,4 @@ __all__ = [
     "crc32_words",
     "durable_metadata",
     "publish_point",
-    "registered_durable_metadata",
-    "registered_publish_points",
 ]

@@ -114,10 +114,6 @@ class Clock:
         """True while a :meth:`divert` block is active."""
         return bool(self._meters)
 
-    def charge_ops(self, count: float, ns_per_op: float) -> None:
-        """Charge *count* CPU operations at *ns_per_op* each."""
-        self.charge(count * ns_per_op)
-
     # ------------------------------------------------------------------
     # Scopes
     # ------------------------------------------------------------------
@@ -139,9 +135,6 @@ class Clock:
     def now_ns(self) -> float:
         """Total simulated nanoseconds elapsed."""
         return self._now_ns
-
-    def elapsed_since(self, mark_ns: float) -> float:
-        return self._now_ns - mark_ns
 
     def breakdown(self) -> Dict[str, float]:
         """Copy of the per-category totals."""

@@ -593,10 +593,6 @@ class AddressSpace:
                 return mapping
         raise IllegalArgumentException(f"address {address:#x} is not mapped")
 
-    @property
-    def mappings(self) -> Tuple[Mapping, ...]:
-        return tuple(self._mappings)
-
     # -- routed access -------------------------------------------------------
     # read/write inline mapping_at's last-hit test: a word access that
     # stays on the previous access's device costs no routing frame.
@@ -623,9 +619,3 @@ class AddressSpace:
     def device_of(self, address: int) -> MemoryDevice:
         return self.mapping_at(address).device
 
-    def is_persistent(self, address: int) -> bool:
-        """True when *address* lands in a non-volatile device."""
-        try:
-            return not self.mapping_at(address).device.volatile
-        except IllegalArgumentException:
-            return False

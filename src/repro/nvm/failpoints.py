@@ -112,6 +112,3 @@ class FailpointRegistry:
         """Every site that has been hit at least once, sorted."""
         return tuple(sorted(s for s, c in self._counts.items() if c > 0))
 
-    def reset_counts(self) -> None:
-        """Zero the counters without touching the installed trigger."""
-        self._counts.clear()

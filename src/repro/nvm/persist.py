@@ -119,12 +119,6 @@ class PersistEventLog:
                                       int(frame_offset),
                                       int(frame_words))))
 
-    def clear(self) -> None:
-        self.events.clear()
-
-    def __len__(self) -> int:
-        return len(self.events)
-
     def to_json(self) -> str:
         return json.dumps([list(e) for e in self.events]) + "\n"
 

@@ -13,10 +13,10 @@ This module is that declaration surface:
 
 * :func:`publish_point` marks a function whose *call* is a publication:
   after it returns, a crash-recoverable path can reach whatever the
-  arguments referenced.  The decorator is a runtime no-op (it only tags
-  the function and records it in :data:`PUBLISH_REGISTRY`); the static
-  analyzer recognises it syntactically, so annotated subsystems incur
-  zero overhead and no import-order coupling.
+  arguments referenced.  The decorator is a runtime no-op (it returns
+  the function unchanged); the static analyzer recognises it
+  syntactically, so annotated subsystems incur zero overhead and no
+  import-order coupling.
 
 * :func:`durable_metadata` marks a function that mutates durable
   structures *in place* (splicing a persistent hashmap chain, rewriting
@@ -26,45 +26,26 @@ This module is that declaration surface:
   (``log_slot`` / ``tx_add_range`` / an active ``tx_begin``) or an
   enclosing transaction ``with`` block.
 
-The registries are immutable append-at-import tables keyed by qualified
-name; :func:`registered_publish_points` exposes them for documentation
-and tests.  They are *advisory* at runtime — enforcement lives entirely
-in the static pass.
+Enforcement lives entirely in the static pass.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Tuple, TypeVar
+from typing import Callable, TypeVar
 
 F = TypeVar("F", bound=Callable)
-
-#: qualname -> label for every imported @publish_point function.
-PUBLISH_REGISTRY: Dict[str, str] = {}
-#: qualname -> label for every imported @durable_metadata function.
-METADATA_REGISTRY: Dict[str, str] = {}
-
-#: Function attribute carrying the publish label (introspection aid).
-PUBLISH_ATTR = "__publish_point__"
-#: Function attribute carrying the durable-metadata label.
-METADATA_ATTR = "__durable_metadata__"
 
 
 def publish_point(label: str) -> Callable[[F], F]:
     """Declare *label* as the publication a call to this function performs.
 
-    The decorated function is returned unchanged apart from a
-    ``__publish_point__`` attribute.  Static semantics (ESP501): every
-    in-scope path that reaches a call to this function must first flush
-    and fence the payload being published; the function's *own* body is
-    exempt — it IS the publish, so the obligation sits with its callers.
+    The decorated function is returned unchanged.  Static semantics
+    (ESP501): every in-scope path that reaches a call to this function
+    must first flush and fence the payload being published; the
+    function's *own* body is exempt — it IS the publish, so the
+    obligation sits with its callers.
     """
-
-    def mark(func: F) -> F:
-        setattr(func, PUBLISH_ATTR, label)
-        PUBLISH_REGISTRY[func.__qualname__] = label
-        return func
-
-    return mark
+    return lambda func: func
 
 
 def durable_metadata(label: str) -> Callable[[F], F]:
@@ -75,20 +56,4 @@ def durable_metadata(label: str) -> Callable[[F], F]:
     ``tx_add_range`` / ``tx_begin`` call or nested in a transaction
     ``with`` block — so a crash mid-mutation can always roll back.
     """
-
-    def mark(func: F) -> F:
-        setattr(func, METADATA_ATTR, label)
-        METADATA_REGISTRY[func.__qualname__] = label
-        return func
-
-    return mark
-
-
-def registered_publish_points() -> Tuple[Tuple[str, str], ...]:
-    """Sorted (qualname, label) pairs of every imported publish point."""
-    return tuple(sorted(PUBLISH_REGISTRY.items()))
-
-
-def registered_durable_metadata() -> Tuple[Tuple[str, str], ...]:
-    """Sorted (qualname, label) pairs of every durable-metadata function."""
-    return tuple(sorted(METADATA_REGISTRY.items()))
+    return lambda func: func

@@ -8,7 +8,7 @@ GC phases (§4.2) and recovery steps (§4.3).
 
 from repro.obs.fleet import LatencyRecorder, aggregate_fleet, percentile
 from repro.obs.observatory import NULL_OBS, NullObservatory, Observatory
-from repro.obs.registry import GaugeValue, HistogramData, MetricsRegistry
+from repro.obs.registry import HistogramData, MetricsRegistry
 from repro.obs.tracing import Span, Tracer
 
 
@@ -23,7 +23,6 @@ __all__ = [
     "NullObservatory",
     "NULL_OBS",
     "MetricsRegistry",
-    "GaugeValue",
     "HistogramData",
     "Tracer",
     "Span",

@@ -19,7 +19,7 @@ from typing import Dict, Optional
 
 from repro.nvm.clock import Clock
 from repro.obs.registry import MetricsRegistry
-from repro.obs.tracing import DEFAULT_TIMELINE_ROOTS, Tracer
+from repro.obs.tracing import Tracer
 
 
 class Observatory:
@@ -27,11 +27,10 @@ class Observatory:
 
     enabled = True
 
-    def __init__(self, clock: Optional[Clock] = None,
-                 max_timeline_roots: int = DEFAULT_TIMELINE_ROOTS) -> None:
+    def __init__(self, clock: Optional[Clock] = None) -> None:
         self.clock = clock
         self.metrics = MetricsRegistry(clock)
-        self.tracer = Tracer(clock, max_roots=max_timeline_roots)
+        self.tracer = Tracer(clock)
         self._devices: Dict[str, object] = {}
 
     def bind_clock(self, clock: Clock) -> None:
@@ -60,9 +59,6 @@ class Observatory:
     # -- metrics -----------------------------------------------------------
     def inc(self, name: str, value: float = 1) -> None:
         self.metrics.inc(name, value)
-
-    def set_gauge(self, name: str, value: float) -> None:
-        self.metrics.set_gauge(name, value)
 
     def observe(self, name: str, value: float) -> None:
         self.metrics.observe(name, value)
@@ -136,9 +132,6 @@ class NullObservatory(Observatory):
         return _NULL_SPAN
 
     def inc(self, name: str, value: float = 1) -> None:
-        return None
-
-    def set_gauge(self, name: str, value: float) -> None:
         return None
 
     def observe(self, name: str, value: float) -> None:

@@ -1,4 +1,4 @@
-"""Metrics registry: counters, gauges and histograms on the simulated clock.
+"""Metrics registry: counters and histograms on the simulated clock.
 
 Generalizes :class:`repro.nvm.device.DeviceStats` — where DeviceStats is a
 fixed set of device counters, the registry accepts any named series and
@@ -13,17 +13,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from repro.nvm.clock import Clock
-
-
-@dataclass
-class GaugeValue:
-    """Last-write-wins sample plus the simulated time of the write."""
-
-    value: float = 0.0
-    updated_ns: float = 0.0
-
-    def as_dict(self) -> Dict[str, float]:
-        return {"value": self.value, "updated_ns": self.updated_ns}
 
 
 @dataclass
@@ -58,12 +47,11 @@ class HistogramData:
 
 
 class MetricsRegistry:
-    """Named counters, gauges and histograms for one session."""
+    """Named counters and histograms for one session."""
 
     def __init__(self, clock: Optional[Clock] = None) -> None:
         self.clock = clock
         self._counters: Dict[str, float] = {}
-        self._gauges: Dict[str, GaugeValue] = {}
         self._histograms: Dict[str, HistogramData] = {}
 
     def _now(self) -> float:
@@ -75,18 +63,6 @@ class MetricsRegistry:
 
     def counter(self, name: str) -> float:
         return self._counters.get(name, 0)
-
-    # -- gauges ------------------------------------------------------------
-    def set_gauge(self, name: str, value: float) -> None:
-        gauge = self._gauges.get(name)
-        if gauge is None:
-            gauge = self._gauges[name] = GaugeValue()
-        gauge.value = value
-        gauge.updated_ns = self._now()
-
-    def gauge(self, name: str) -> float:
-        gauge = self._gauges.get(name)
-        return gauge.value if gauge is not None else 0.0
 
     # -- histograms --------------------------------------------------------
     def observe(self, name: str, value: float) -> None:
@@ -114,7 +90,6 @@ class MetricsRegistry:
     def as_dict(self) -> Dict[str, Dict]:
         return {
             "counters": dict(self._counters),
-            "gauges": {n: g.as_dict() for n, g in self._gauges.items()},
             "histograms": {n: h.as_dict()
                            for n, h in self._histograms.items()},
         }

@@ -43,11 +43,6 @@ class Span:
             return 0.0
         return self.end_ns - self.start_ns
 
-    @property
-    def self_ns(self) -> float:
-        """Duration minus time attributed to child spans."""
-        return self.duration_ns - sum(c.duration_ns for c in self.children)
-
     def as_dict(self) -> Dict[str, object]:
         d: Dict[str, object] = {
             "name": self.name,
@@ -169,9 +164,3 @@ class Tracer:
         for root in self.timeline():
             walk(root, 0)
         return "\n".join(lines) if lines else "(no spans recorded)"
-
-    def as_dict(self, include_timeline: bool = False) -> Dict[str, object]:
-        d: Dict[str, object] = {"spans": self.span_totals()}
-        if include_timeline:
-            d["timeline"] = [s.as_dict() for s in self.timeline()]
-        return d

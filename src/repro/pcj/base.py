@@ -83,9 +83,6 @@ class PersistentObject:
         PersistentObject.__init__(obj, pool, 0, _existing_offset=offset)
         return obj
 
-    def same_object(self, other: Optional["PersistentObject"]) -> bool:
-        return other is not None and self.offset == other.offset
-
     # ------------------------------------------------------------------
     # Reference counting (PCJ's GC)
     # ------------------------------------------------------------------

@@ -302,9 +302,6 @@ class PersistentHashmap(PersistentObject):
             cursor = pool.device.read(cursor + 3)
         return None
 
-    def contains_key(self, key: PersistentObject) -> bool:
-        return self.get(key) is not None
-
     def remove(self, key: PersistentObject) -> bool:
         pool = self.pool
         buckets = self._buckets()

@@ -451,10 +451,6 @@ class MemoryPool:
     # ------------------------------------------------------------------
     # Introspection for tests/benchmarks
     # ------------------------------------------------------------------
-    @property
-    def heap_offset(self) -> int:
-        return self._heap_off
-
     def free_list_length(self) -> int:
         count = 0
         cursor = self.device.read(_FREE_HEAD)

@@ -67,9 +67,6 @@ class _PjhBase:
         vm.array_set(array, index, value)
         self._flush_words(slot, 1)
 
-    def same_object(self, other) -> bool:
-        return other is not None and self.h.same_object(other.h)
-
 
 class PjhLong(_PjhBase):
     """Boxed long on PJH: the PersistentLong counterpart."""
@@ -363,9 +360,6 @@ class PjhHashmap(_PjhBase):
                 return jvm.get_field(cursor, "value")
             cursor = jvm.get_field(cursor, "next")
         return None
-
-    def contains_key(self, key) -> bool:
-        return self.get(key) is not None
 
     def items(self):
         """Yield (key handle, value handle) for every entry."""

@@ -457,9 +457,6 @@ class PjhConcurrentSet:
     def h(self) -> ObjectHandle:
         return self._map.h
 
-    def size(self) -> int:
-        return self._map.size()
-
     def add_op(self, key) -> Iterator:
         added = yield from self._map.put_op(key, key)
         return added

@@ -52,7 +52,7 @@ from repro.pjo.dbpersistable import (
 
 
 class PjoEntityManager(AbstractEntityManager):
-    """EntityManager whose backend is PJH instead of SQL-over-JDBC."""
+    """EntityManager whose backend is PJH instead of SQL."""
 
     def __init__(self, jvm, heap: Optional[str] = None,
                  field_tracking: bool = True,

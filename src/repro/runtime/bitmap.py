@@ -110,9 +110,6 @@ class Bitmap:
                 word ^= low
             word_index += 1
 
-    def any_set(self) -> bool:
-        return bool(self._words.any())
-
     # -- persistence ----------------------------------------------------------
     def to_words(self) -> np.ndarray:
         """The raw backing words, reinterpreted as int64 for device storage."""

@@ -159,15 +159,6 @@ class Klass:
     # ------------------------------------------------------------------
     # Type relations
     # ------------------------------------------------------------------
-    def is_subclass_of(self, other: "Klass") -> bool:
-        """Nominal subtyping by identity along the superclass chain."""
-        k: Optional[Klass] = self
-        while k is not None:
-            if k is other:
-                return True
-            k = k.super_klass
-        return False
-
     def is_alias_of(self, other: "Klass") -> bool:
         """Two Klasses are aliases when they are logically the same class
         stored in different places (paper §3.2)."""

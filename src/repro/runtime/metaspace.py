@@ -37,9 +37,6 @@ class KlassRegistry:
         klass.address = address
         self._by_address[address] = klass
 
-    def unregister(self, klass: Klass) -> None:
-        self._by_address.pop(klass.address, None)
-
     def resolve(self, address: int) -> Klass:
         try:
             return self._by_address[address]

@@ -133,10 +133,6 @@ class MutatorGang:
                 f"mutator {mutator} out of range for gang of {self.n}")
         self._queues[mutator].append(MutatorOp(mutator, str(name), factory))
 
-    @property
-    def pending(self) -> int:
-        return sum(len(q) for q in self._queues)
-
     # ------------------------------------------------------------------
     # The scheduler loop
     # ------------------------------------------------------------------
@@ -211,7 +207,6 @@ class MutatorGang:
                     self._record(index, op.name, kind, payload)
         finally:
             committed = self.pool.commit_phase(phase)
-            self._last_committed_ns = committed
         report = GangReport(
             mutators=self.n, seed=self.seed, steps=steps,
             committed_ns=committed, results=results,

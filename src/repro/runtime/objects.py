@@ -177,10 +177,6 @@ class ObjectHandle:
         """Current address of the referent (may change across GCs)."""
         return self._table.address(self._index)
 
-    @property
-    def slot_index(self) -> int:
-        return self._index
-
     def same_object(self, other: Optional["ObjectHandle"]) -> bool:
         """Reference equality (Java ``==``)."""
         return other is not None and self.address == other.address

@@ -79,9 +79,6 @@ class GCHooks:
     def persist_range(self, address: int, size_words: int) -> None:
         """Flush a completed write range (no-op for volatile heaps)."""
 
-    def persist_headers(self, addresses: Sequence[int]) -> None:
-        """Flush many single header words, one fence at the end."""
-
     def flush_range(self, address: int, size_words: int) -> None:
         """Enqueue a range into the current fence epoch without committing.
 
@@ -139,8 +136,6 @@ class VolatileGCHooks(GCHooks):
 
     def __init__(self) -> None:
         self._done: Set[int] = set()
-        self._cursor = (-1, 0)
-        self._move: Optional[tuple] = None
 
     def on_mark_complete(self, livemap: LiveMap) -> int:
         VolatileGCHooks._timestamp_counter += 1
@@ -152,25 +147,20 @@ class VolatileGCHooks(GCHooks):
     def region_done(self, region: int) -> None:
         self._done.add(region)
 
-    def region_cursor(self):
-        return self._cursor
-
+    # The engine reads the serialized-protocol state only when it
+    # recovers, and a DRAM heap never does: none of it is kept.
     def set_region_cursor(self, region: int, index: int) -> None:
-        self._cursor = (region, index)
-
-    def move_record(self):
-        return self._move
+        pass
 
     def set_move_record(self, src: int, dst: int, size: int,
                         progress: int) -> None:
-        self._move = (src, dst, size, progress)
+        pass
 
     def set_move_progress(self, progress: int) -> None:
-        src, dst, size, _old = self._move
-        self._move = (src, dst, size, progress)
+        pass
 
     def clear_move_record(self) -> None:
-        self._move = None
+        pass
 
 
 @dataclass

@@ -106,11 +106,6 @@ class TaskContext:
         self._site = 0
         self._chain = chain
 
-    @property
-    def resuming(self) -> bool:
-        """True while replay is still skipping checkpointed steps."""
-        return self._site < self._pc or bool(self._chain)
-
     def step(self, fn: Callable[..., object], *args: object) -> object:
         site = self._site
         self._site += 1

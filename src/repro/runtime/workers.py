@@ -99,10 +99,6 @@ class WorkerPool:
     # ------------------------------------------------------------------
     # Partitioned fan-out (summary, zeroing scan, recovery partitions)
     # ------------------------------------------------------------------
-    def partition(self, items: Sequence[T]) -> List[List[T]]:
-        """Static round-robin split: worker *i* gets ``items[i::n]``."""
-        return [list(items[i::self.n]) for i in range(self.n)]
-
     def run_partitioned(self, items: Sequence[T],
                         fn: Callable[[T], R],
                         phase: str,

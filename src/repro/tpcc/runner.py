@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Optional
@@ -49,8 +48,8 @@ def _make_em(provider: str, clock: Clock, heap_dir: Path,
     return PjoEntityManager(jvm)
 
 
-def run_tpcc(provider: str, transactions: int = 60, seed: int = 7,
-             heap_dir: Optional[Path] = None,
+def run_tpcc(provider: str, transactions: int = 60, seed: int = 7, *,
+             heap_dir: Path,
              warehouses: int = 1, items: int = 15,
              observatory: Optional[Observatory] = None,
              record_trace: bool = False,
@@ -73,10 +72,9 @@ def run_tpcc(provider: str, transactions: int = 60, seed: int = 7,
     against."""
     from repro.jpab.runner import _nvm_devices
 
-    root = heap_dir if heap_dir is not None else Path(tempfile.mkdtemp())
     clock = Clock()
     obs = observatory if observatory is not None else NULL_OBS
-    em = _make_em(provider, clock, root / provider, obs=obs, **overrides)
+    em = _make_em(provider, clock, heap_dir / provider, obs=obs, **overrides)
     if provider == "pjo":
         if elision_certificate is not None:
             em.jvm.vm.elision_certificate = elision_certificate

@@ -183,30 +183,31 @@ def run_smoke(mutators: int = 2, ops_per_mutator: int = 16,
     from repro.api import Espresso
     from repro.tools.fsck import fsck_heap
 
-    tmp = Path(tempfile.mkdtemp(prefix="concurrent-kv-"))
-    jvm = Espresso.open(tmp / "heaps", "kv", size_bytes=4 * 1024 * 1024)
-    heap = jvm.heaps.heap("kv")
-    log = heap.enable_event_log("concurrent_kv")
-    workload = ConcurrentKvWorkload(jvm, mutators=mutators,
-                                    ops_per_mutator=ops_per_mutator,
-                                    seed=seed)
-    report = workload.run(event_log=log)
-    heap.disable_event_log()
-    hazards = analyze_trace(log)
+    with tempfile.TemporaryDirectory(prefix="concurrent-kv-") as tmp:
+        jvm = Espresso.open(Path(tmp) / "heaps", "kv",
+                            size_bytes=4 * 1024 * 1024)
+        heap = jvm.heaps.heap("kv")
+        log = heap.enable_event_log("concurrent_kv")
+        workload = ConcurrentKvWorkload(jvm, mutators=mutators,
+                                        ops_per_mutator=ops_per_mutator,
+                                        seed=seed)
+        report = workload.run(event_log=log)
+        heap.disable_event_log()
+        hazards = analyze_trace(log)
 
-    jvm2 = jvm.restart(crash=True)
-    heap2 = jvm2.load_heap("kv")
-    problems = workload.check_after_recovery(jvm2, completed=True)
-    fsck = fsck_heap(heap2)
-    summary = {
-        "mutators": mutators,
-        "ops": len(workload.ops),
-        "steps": report.steps,
-        "pause_ns": report.committed_ns,
-        "hazards": len(hazards.findings),
-        "problems": problems,
-        "fsck_clean": fsck.clean,
-    }
+        jvm2 = jvm.restart(crash=True)
+        heap2 = jvm2.load_heap("kv")
+        problems = workload.check_after_recovery(jvm2, completed=True)
+        fsck = fsck_heap(heap2)
+        summary = {
+            "mutators": mutators,
+            "ops": len(workload.ops),
+            "steps": report.steps,
+            "pause_ns": report.committed_ns,
+            "hazards": len(hazards.findings),
+            "problems": problems,
+            "fsck_clean": fsck.clean,
+        }
     if verbose:
         print(f"concurrent-kv smoke: {mutators} mutators, "
               f"{len(workload.ops)} ops, {report.steps} steps")

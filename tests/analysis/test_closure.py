@@ -132,3 +132,21 @@ class TestLiveSession:
         assert ("db.BasicPerson", "first_name") in report.certified_fields
         assert len(report.certified_fields) >= 4
         assert [d for d in report.diagnostics() if d.code == "ESP101"] == []
+
+
+def test_cli_verbose_adds_the_informational_closure_codes(tmp_path, capsys):
+    """``python -m repro.analysis --closure-schema --verbose``: the quiet
+    run reports errors only (none on BasicTest); ``--verbose`` adds the
+    ESP102-105 notes and still exits 1 on any finding."""
+    import json
+    from repro.analysis.__main__ import main
+
+    def closure_codes(*flags):
+        status = main(["--closure-schema", "--paths", str(tmp_path),
+                       "--json", *flags])
+        found = json.loads(capsys.readouterr().out)["passes"]["closure"]
+        return status, {d["code"] for d in found}
+
+    assert closure_codes() == (0, set())
+    assert closure_codes("--verbose") == (
+        1, {"ESP102", "ESP104", "ESP105"})

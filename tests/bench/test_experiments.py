@@ -2,8 +2,9 @@
 
 Every entry of ``EXPERIMENTS`` runs at its CI size and must pass its own
 ``check``; the registry must be complete (one entry per experiment module,
-every DESIGN.md §4 "Regenerated by" command a registry key); and the front
-end must run, write and fail the way the Makefile and docs say it does.
+every DESIGN.md §4 "Regenerated by" command a registry key, and §3's
+module inventory the tree); and the front end must run, write and fail
+the way the Makefile and docs say it does.
 """
 
 import json
@@ -77,6 +78,31 @@ def test_design_index_names_registry_keys():
                           row.split("|")[-2].strip()) for row in rows]
     assert all(named), rows
     assert sorted(match.group(1) for match in named) == sorted(EXPERIMENTS)
+
+
+def test_design_module_inventory_matches_the_tree():
+    """DESIGN.md §3 lists every module under src/repro/ and examples/
+    (``__init__.py`` aside), and nothing that does not exist."""
+    design = (REPO_ROOT / "DESIGN.md").read_text()
+    section = design[design.index("## 3. Module inventory"):
+                     design.index("## 4. Experiment index")]
+    listed, dirs = set(), []
+    for line in section.split("```")[1].splitlines():
+        entry = re.match(r"( *)(\S+?\.py|\S+/)(\s|$)", line)
+        if not entry:
+            continue
+        depth = len(entry.group(1)) // 2
+        del dirs[depth:]
+        if entry.group(2).endswith("/"):
+            dirs.append(entry.group(2))
+        else:
+            listed.add("".join(dirs) + entry.group(2))
+    tree = {path.relative_to(REPO_ROOT).as_posix()
+            for top in ("src/repro", "examples")
+            for path in (REPO_ROOT / top).rglob("*.py")
+            if path.name != "__init__.py"}
+    assert sorted(listed - tree) == [], "listed but missing"
+    assert sorted(tree - listed) == [], "present but not listed"
 
 
 def test_harness_import_does_not_load_the_experiments():

@@ -133,8 +133,7 @@ class TestFailover:
         fleet.put(a0, "k", "v0")
         fleet.put(a1, "k", "v1")
         fleet.crash_shard(0)
-        assert fleet.shard_state(0) == SHARD_DOWN
-        assert fleet.up_shards() == [1]
+        assert [s.state for s in fleet.shards] == [SHARD_DOWN, SHARD_UP]
         with pytest.raises(ShardDownError) as excinfo:
             fleet.submit(a0, "get", "k")
         assert excinfo.value.shard == 0
@@ -193,7 +192,7 @@ class TestFailover:
         fleet.crash_shard(1)
         recovery_ns = fleet.recover_shard(1)
         assert recovery_ns > 0
-        assert fleet.shard_state(1) == SHARD_UP
+        assert fleet.shards[1].state == SHARD_UP
         for i in range(20):
             assert fleet.get(f"s{i}", f"k{i}") == f"v{i}"
         assert len(fleet.recovery) == 1

@@ -29,6 +29,14 @@ class TestCrud:
         rs = db.execute("SELECT name FROM Person WHERE id = ?", (2,))
         assert rs.rows == [("bob",)]
 
+    def test_reexecute_with_new_params(self, db):
+        sql = "INSERT INTO Person VALUES (?, 'same', ?)"
+        for i in range(3):
+            assert db.execute(sql, [i, 10 + i]).rows_affected == 1
+        rs = db.execute("SELECT id, age FROM Person WHERE name = ?",
+                        ["same"])
+        assert sorted(rs.rows) == [(0, 10), (1, 11), (2, 12)]
+
     def test_update(self, db):
         db.execute("INSERT INTO Person VALUES (1, 'alice', 30)")
         affected = db.execute(

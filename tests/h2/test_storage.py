@@ -67,7 +67,7 @@ class TestRowStore:
         assert not storage.delete(db.txman.current, rid)
         db.commit()
         assert storage.read_row(rid) is None
-        assert storage.row_count() == 0
+        assert len(storage.locators) == 0
 
     def test_update_in_place_when_it_fits(self, db):
         storage, _ = make_table(db)
@@ -87,7 +87,7 @@ class TestRowStore:
         storage.update(db.txman.current, rid, [1, "much longer than before" * 3])
         db.commit()
         assert storage.read_row(rid) == [1, "much longer than before" * 3]
-        assert storage.row_count() == 2
+        assert len(storage.locators) == 2
 
     def test_rows_span_pages(self, db):
         storage, _ = make_table(db)
@@ -95,7 +95,7 @@ class TestRowStore:
         for i in range(60):  # page_words=128: a handful of rows per page
             storage.insert(db.txman.current, [i, f"padding-{i:04d}"])
         db.commit()
-        assert storage.row_count() == 60
+        assert len(storage.locators) == 60
         assert sorted(rid for rid, _ in storage.scan()) == list(range(1, 61))
 
     def test_refresh_rebuilds_volatile_state(self, db):
@@ -105,7 +105,7 @@ class TestRowStore:
             storage.insert(db.txman.current, [i, "v"])
         db.commit()
         fresh = TableStorage(table, db.pages)
-        assert fresh.row_count() == 10
+        assert len(fresh.locators) == 10
         assert fresh.next_row_id == storage.next_row_id
 
     def test_zero_row_header_is_typed_corruption(self, db):

@@ -69,9 +69,6 @@ class RefClock:
     def diverted(self) -> bool:
         return bool(self._meters)
 
-    def charge_ops(self, count: float, ns_per_op: float) -> None:
-        self.charge(count * ns_per_op)
-
     @property
     def current_category(self) -> str:
         return self._stack[-1] if self._stack else DEFAULT_CATEGORY

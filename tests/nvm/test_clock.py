@@ -58,20 +58,6 @@ def test_breakdown_since_reports_deltas_only():
     assert clock.breakdown_since(snap) == {"a": 4.0, "b": 6.0}
 
 
-def test_elapsed_since():
-    clock = Clock()
-    clock.charge(3.0)
-    mark = clock.now_ns
-    clock.charge(9.0)
-    assert clock.elapsed_since(mark) == 9.0
-
-
-def test_charge_ops():
-    clock = Clock()
-    clock.charge_ops(10, 1.5)
-    assert clock.now_ns == 15.0
-
-
 def test_reset():
     clock = Clock()
     with clock.scope("x"):

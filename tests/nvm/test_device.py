@@ -199,6 +199,15 @@ class TestAddressSpace:
         assert d2.read(3) == 2
         assert space.read(0x103) == 1
 
+    def test_is_persistent(self, clock):
+        space = AddressSpace()
+        space.map(0x100, DramDevice(64, clock))
+        space.map(0x1000, NvmDevice(64, clock))
+        assert space.mapping_at(0x100).device.volatile
+        assert not space.mapping_at(0x1000).device.volatile
+        with pytest.raises(IllegalArgumentException):
+            space.mapping_at(0x999999)
+
     def test_overlap_rejected(self, clock):
         space = AddressSpace()
         space.map(100, DramDevice(64, clock))
@@ -219,14 +228,6 @@ class TestAddressSpace:
         space = AddressSpace()
         with pytest.raises(IllegalArgumentException):
             space.read(5)
-
-    def test_is_persistent(self, clock):
-        space = AddressSpace()
-        space.map(0x100, DramDevice(64, clock))
-        space.map(0x1000, NvmDevice(64, clock))
-        assert not space.is_persistent(0x100)
-        assert space.is_persistent(0x1000)
-        assert not space.is_persistent(0x999999)
 
     def test_find_free_base_skips_mappings(self, clock):
         space = AddressSpace()

@@ -58,15 +58,6 @@ def test_clear_disarms():
     assert reg.total_hits() == 1
 
 
-def test_reset_counts_keeps_trigger():
-    reg = FailpointRegistry()
-    reg.install(lambda site, count: None)
-    reg.hit("a")
-    reg.reset_counts()
-    assert reg.total_hits() == 0
-    assert reg._armed
-
-
 def test_total_hits():
     reg = FailpointRegistry()
     reg.install(lambda site, count: None)

@@ -113,8 +113,6 @@ class Rig:
             domain.fence()
         elif kind == "charge":
             clock.charge(*args)
-        elif kind == "charge_ops":
-            clock.charge_ops(*args)
         elif kind == "scope":
             manager = clock.scope(args[0])
             manager.__enter__()
@@ -225,7 +223,7 @@ def make_script(seed: int) -> list:
             script.append(("charge", rng.choice((1.5, 0.1, 37.0, 0.0)),
                            rng.choice((None, None, "database"))))
         elif roll < 0.91:
-            script.append(("charge_ops", rng.randint(1, 9), 1.5))
+            script.append(("charge", rng.randint(1, 9) * 1.5, None))
         elif roll < 0.95 and depth < 6:
             if rng.random() < 0.8:
                 # Re-entering the category already on top is legal.
@@ -305,7 +303,6 @@ ERROR_OPS = [
     ("write_block", 1 << 40, [1]),
     ("charge", -0.5, None),
     ("charge", -1, "gc"),
-    ("charge_ops", -2, 1.5),
 ]
 
 

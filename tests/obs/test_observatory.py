@@ -26,15 +26,6 @@ def test_counters_accumulate():
     assert reg.counter("missing") == 0
 
 
-def test_gauge_records_value_and_timestamp():
-    clock = Clock()
-    reg = MetricsRegistry(clock)
-    clock.charge(100)
-    reg.set_gauge("depth", 7)
-    assert reg.gauge("depth") == 7
-    assert reg.as_dict()["gauges"]["depth"]["updated_ns"] == clock.now_ns
-
-
 def test_histogram_statistics():
     reg = MetricsRegistry()
     for v in (10, 20, 30):
@@ -56,7 +47,6 @@ def test_counters_since_snapshot():
 def test_registry_as_dict_is_json_safe():
     reg = MetricsRegistry(Clock())
     reg.inc("c")
-    reg.set_gauge("g", 1.5)
     reg.observe("h", 2)
     json.dumps(reg.as_dict())
 
@@ -77,7 +67,6 @@ def test_spans_nest_and_attribute_time():
     assert outer.duration_ns == 130
     assert [c.name for c in outer.children] == ["inner"]
     assert outer.children[0].duration_ns == 30
-    assert outer.self_ns == 100
 
 
 def test_span_totals_aggregate_across_instances():
@@ -201,11 +190,10 @@ def test_null_obs_span_yields_none():
 
 def test_null_obs_records_nothing():
     NULL_OBS.inc("c", 5)
-    NULL_OBS.set_gauge("g", 1)
     NULL_OBS.observe("h", 2)
     NULL_OBS.register_device("d", object())
     NULL_OBS.bind_clock(Clock())
-    assert NULL_OBS.metrics.as_dict() == {"counters": {}, "gauges": {},
+    assert NULL_OBS.metrics.as_dict() == {"counters": {},
                                           "histograms": {}}
     assert NULL_OBS.tracer.timeline() == []
     assert NULL_OBS.device_stats() == {}

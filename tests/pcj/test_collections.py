@@ -153,6 +153,30 @@ class TestRefcounting:
         arr.dec_ref()  # frees the array and, transitively, a
         assert pool.free_list_length() >= 2
 
+    @pytest.mark.parametrize("kind, blocks", [
+        ("tuple", 2), ("list", 3), ("hashmap", 5)])
+    def test_collection_release_cascades(self, pool, kind, blocks):
+        """Freeing a collection frees what only it referenced: the tuple
+        and its child; the list, its backing array and the child; the
+        map, its buckets, the entry, the key and the value."""
+        child = PersistentLong(pool, 7)
+        if kind == "tuple":
+            collection = PersistentTuple(pool, 2)
+            collection.set(1, child)
+        elif kind == "list":
+            collection = PersistentArrayList(pool)
+            collection.add(child)
+        else:
+            collection = PersistentHashmap(pool)
+            key = PersistentString(pool, "k")
+            collection.put(key, child)
+            key.dec_ref()
+        child.dec_ref()  # only the collection holds it now
+        before = pool.free_list_length()
+        collection.dec_ref()
+        assert pool.free_list_length() - before == blocks
+        assert child.refcount == 0
+
     def test_removed_entry_is_freed(self, pool):
         m = PersistentHashmap(pool)
         key = PersistentLong(pool, 1)

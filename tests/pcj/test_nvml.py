@@ -80,7 +80,7 @@ class TestTransactions:
 
     def test_log_outside_tx_rejected(self, pool):
         with pytest.raises(IllegalStateException):
-            pool.tx_add_range(pool.heap_offset, 1)
+            pool.tx_add_range(pool._heap_off, 1)
 
     def test_crash_during_tx_rolls_back_on_recover(self, pool):
         a = pool.pmalloc(2, 0)

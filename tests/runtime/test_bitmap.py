@@ -56,7 +56,7 @@ class TestBitmapBasics:
         bm = Bitmap(64)
         bm.set_range(0, 64)
         bm.clear_all()
-        assert not bm.any_set()
+        assert list(bm.iter_set(0, 64)) == []
 
     def test_words_roundtrip(self):
         bm = Bitmap(300)

@@ -67,13 +67,6 @@ class TestKlassRegistry:
         registry.register(klass, 0x10)
         registry.register(klass, 0x10)  # idempotent
 
-    def test_unregister(self):
-        registry = KlassRegistry()
-        klass = Klass("A")
-        registry.register(klass, 0x10)
-        registry.unregister(klass)
-        assert not registry.knows(0x10)
-
 
 class TestMetaspace:
     def test_distinct_addresses(self):

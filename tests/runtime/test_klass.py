@@ -57,12 +57,13 @@ class TestInheritance:
             Klass("Derived", [field("a", FieldKind.INT)], super_klass=base)
 
     def test_subclass_relation(self):
+        from repro.runtime.typecheck import is_instance_of
         base = Klass("Base")
         mid = Klass("Mid", super_klass=base)
         leaf = Klass("Leaf", super_klass=mid)
-        assert leaf.is_subclass_of(base)
-        assert leaf.is_subclass_of(leaf)
-        assert not base.is_subclass_of(leaf)
+        assert is_instance_of(leaf, base)
+        assert is_instance_of(leaf, leaf)
+        assert not is_instance_of(base, leaf)
 
 
 class TestArrays:

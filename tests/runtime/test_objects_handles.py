@@ -59,7 +59,7 @@ class TestHandleTable:
     def test_handle_auto_release_on_gc(self):
         table = HandleTable()
         handle = ObjectHandle(table, 0x10)
-        index = handle.slot_index
+        index = handle._index
         del handle
         pygc.collect()
         assert index in {i for i in table._free}

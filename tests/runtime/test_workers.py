@@ -71,8 +71,15 @@ class TestDivert:
 class TestPartitioned:
     def test_round_robin_partition(self):
         pool = WorkerPool(Clock(), 3)
-        assert pool.partition(list(range(7))) \
-            == [[0, 3, 6], [1, 4], [2, 5]]
+        slices = []
+
+        def start_slice(worker):
+            if worker is not None:
+                slices.append([])
+
+        pool.run_partitioned(list(range(7)), lambda x: slices[-1].append(x),
+                             phase="t", worker_hook=start_slice)
+        assert slices == [[0, 3, 6], [1, 4], [2, 5]]
 
     def test_results_in_original_order(self):
         pool = WorkerPool(Clock(), 4)
@@ -312,7 +319,7 @@ class TestStealing:
     def test_all_items_processed_exactly_once(self):
         pool = WorkerPool(Clock(), 3)
         seen = []
-        stacks = pool.partition(list(range(100)))
+        stacks = [list(range(i, 100, 3)) for i in range(3)]
         pool.run_stealing(stacks, lambda item, stack: seen.append(item),
                           phase="t")
         assert sorted(seen) == list(range(100))
@@ -329,7 +336,7 @@ class TestStealing:
         def trace(n_items):
             pool = WorkerPool(Clock(), 4)
             order = []
-            stacks = pool.partition(list(range(n_items)))
+            stacks = [list(range(i, n_items, 4)) for i in range(4)]
             pool.run_stealing(
                 stacks, lambda item, stack: order.append(item), phase="t")
             return order, [w.steals for w in pool.workers]

@@ -1,5 +1,7 @@
 """The contended KV workload and its durable-linearizability checker."""
 
+import tempfile
+
 import pytest
 
 from repro.api import Espresso
@@ -105,3 +107,8 @@ class TestWorkload:
         assert summary["ok"] is True
         assert summary["hazards"] == 0
         assert summary["fsck_clean"] is True
+
+    def test_smoke_leaves_no_heap_directory(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        assert run_smoke(mutators=2, ops_per_mutator=4, verbose=False)["ok"]
+        assert list(tmp_path.iterdir()) == []
