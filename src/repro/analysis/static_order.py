@@ -95,7 +95,8 @@ __all__ = [
 #: the two files *defining* the modeled primitives are excluded — their
 #: bodies are the implementation of flush/fence, not users of it.
 SCOPE_PREFIXES = ("repro/core/", "repro/nvm/", "repro/pjhlib/",
-                  "repro/pcj/", "repro/h2/", "repro/fleet/")
+                  "repro/pcj/", "repro/h2/", "repro/fleet/",
+                  "repro/structures.py")
 SCOPE_EXCLUDE = ("repro/nvm/device.py", "repro/nvm/persist.py")
 
 #: Merge-point widening threshold: abstract states kept per CFG block.

@@ -55,6 +55,9 @@ class Fig15Result:
     # (type, op) -> (pjh_ns, pcj_ns, speedup)
     cells: Dict[Tuple[str, str], Tuple[float, float, float]] = field(
         default_factory=dict)
+    # (type, op) -> (pjh clflush, pjh sfence, pcj clflush, pcj sfence)
+    flushes: Dict[Tuple[str, str], Tuple[int, int, int, int]] = field(
+        default_factory=dict)
 
     def speedup(self, data_type: str, op: str) -> float:
         return self.cells[(data_type, op)][2]
@@ -116,9 +119,8 @@ def _workloads(classes, substrate: tuple, count: int):
 
 def _substrates(data_type: str, count: int, heap_dir: Path):
     """Fresh PCJ and PJH substrates for one data type, so working sets
-    stay comparable: ``(pcj_clock, pcj_ops, jvm, pjh_ops)``."""
-    pcj_clock = Clock()
-    pool = MemoryPool(max(1 << 22, count * 64), clock=pcj_clock,
+    stay comparable: ``(pool, pcj_ops, jvm, pjh_ops)``."""
+    pool = MemoryPool(max(1 << 22, count * 64), clock=Clock(),
                       tx_log_words=1 << 16)
     pcj_ops = _workloads(_PCJ, (pool,), count)[data_type]
 
@@ -128,20 +130,33 @@ def _substrates(data_type: str, count: int, heap_dir: Path):
     # transaction (fleet/store.py sizes its log by the same rule); the
     # default 1024 overflows from the 1,537th entry on.
     txn = PjhTransaction(jvm, capacity=max(1024, count + 1))
-    return (pcj_clock, pcj_ops,
+    return (pool, pcj_ops,
             jvm, _workloads(_PJH, (jvm, txn), count)[data_type])
+
+
+def _measured(clock, device, action, count: int):
+    """``(ns per op, clflushes, sfences)`` over ``count`` calls of
+    *action*."""
+    before = device.stats.snapshot()
+    ns = per_op_ns(clock, action, count)
+    spent = device.stats.delta(before)
+    return ns, spent.flushes, spent.fences
 
 
 def run(count: int, heap_dir: Path) -> Fig15Result:
     result = Fig15Result(count=count)
     for data_type in DATA_TYPES:
-        pcj_clock, pcj_ops, jvm, pjh_ops = _substrates(data_type, count,
-                                                       heap_dir)
+        pool, pcj_ops, jvm, pjh_ops = _substrates(data_type, count, heap_dir)
+        pjh_device = jvm.heaps.heap("bench").device
         for op_name, pcj_fn, pjh_fn in zip(OPERATIONS, pcj_ops, pjh_ops):
-            pcj_ns = per_op_ns(pcj_clock, pcj_fn, count)
-            pjh_ns = per_op_ns(jvm.clock, pjh_fn, count)
+            pcj_ns, pcj_flushes, pcj_fences = _measured(
+                pool.clock, pool.device, pcj_fn, count)
+            pjh_ns, pjh_flushes, pjh_fences = _measured(
+                jvm.clock, pjh_device, pjh_fn, count)
             speedup = pcj_ns / pjh_ns if pjh_ns > 0 else float("inf")
             result.cells[(data_type, op_name)] = (pjh_ns, pcj_ns, speedup)
+            result.flushes[(data_type, op_name)] = (
+                pjh_flushes, pjh_fences, pcj_flushes, pcj_fences)
     return result
 
 
@@ -171,8 +186,10 @@ def check(result: Fig15Result) -> None:
 
 
 def payload(result: Fig15Result) -> Dict[str, object]:
-    """``cells``: "type/op" -> [pjh_ns, pcj_ns, speedup]."""
-    return {"count": result.count, "cells": slash_keys(result.cells)}
+    """``cells``: "type/op" -> [pjh_ns, pcj_ns, speedup]; ``flushes``:
+    "type/op" -> [pjh clflush, pjh sfence, pcj clflush, pcj sfence]."""
+    return {"count": result.count, "cells": slash_keys(result.cells),
+            "flushes": slash_keys(result.flushes)}
 
 
 EXPERIMENT = Experiment(

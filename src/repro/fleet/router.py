@@ -85,8 +85,6 @@ class FleetConfig:
     #: ``EspressoConfig.mutators`` knob, propagated to every shard).
     mutators: int = 1
     safety: SafetyLevel = SafetyLevel.USER_GUARANTEED
-    #: Observe per-shard metrics?  One Observatory per shard when True.
-    observe: bool = True
 
 
 @dataclass
@@ -151,9 +149,10 @@ class FleetRouter:
     @staticmethod
     def _shard_session(fleet_dir, config: FleetConfig,
                        clock: Clock) -> Espresso:
-        obs = Observatory() if config.observe else None
+        # One Observatory per shard: the fleet report reads them all.
         return Espresso(fleet_dir, config=EspressoConfig(
-            clock=clock, observatory=obs, gc_workers=config.gc_workers,
+            clock=clock, observatory=Observatory(),
+            gc_workers=config.gc_workers,
             mutators=config.mutators))
 
     @classmethod

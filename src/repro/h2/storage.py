@@ -70,13 +70,26 @@ class TableStorage:
         self._refresh()
 
     # -- walking ----------------------------------------------------------------
+    def _pages(self) -> Iterator[Tuple[int, int]]:
+        """(page, base offset) along the table's chain, reading each next
+        link after the caller is done with its page."""
+        seen = set()
+        page = self.table.first_page
+        while page != NO_PAGE:
+            if page in seen:  # the walk would never end
+                raise CorruptHeapError(
+                    f"h2.table[{self.table.name}]",
+                    f"page {page} revisited: the page chain loops")
+            seen.add(page)
+            base = self.pages.page_offset(page)
+            yield page, base
+            page = self.device.read(base)
+
     def _refresh(self) -> None:
         """Rebuild volatile state (last page, next row id, locators)."""
         self.locators.clear()
         self.next_row_id = 1
-        page = self.table.first_page
-        while page != NO_PAGE:
-            base = self.pages.page_offset(page)
+        for page, base in self._pages():
             used = self.device.read(base + 1)
             cursor = PAGE_HEADER_WORDS
             while cursor < PAGE_HEADER_WORDS + used:
@@ -93,13 +106,10 @@ class TableStorage:
                 self.next_row_id = max(self.next_row_id, row_id + 1)
                 cursor += row_words
             self.last_page = page
-            page = self.device.read(base)
 
     def scan(self) -> Iterator[Tuple[int, List[Any]]]:
         """Yield (row_id, values) for every live row, in storage order."""
-        page = self.table.first_page
-        while page != NO_PAGE:
-            base = self.pages.page_offset(page)
+        for page, base in self._pages():
             used = self.device.read(base + 1)
             cursor = PAGE_HEADER_WORDS
             while cursor < PAGE_HEADER_WORDS + used:
@@ -114,7 +124,6 @@ class TableStorage:
                     row_id = self.device.read(base + cursor + _ROW_ID)
                     yield row_id, self._decode(base + cursor, row_words)
                 cursor += row_words
-            page = self.device.read(base)
 
     def _decode(self, row_offset: int, row_words: int) -> List[Any]:
         words = self.device.read_block(row_offset, row_words)

@@ -405,20 +405,12 @@ class NvmDevice(MemoryDevice):
         self._unfenced_lines.clear()
 
     def persist_all(self) -> None:
-        """Flush every dirty line (used for checkpoint-style image saves)."""
-        reordered = self.fault_mode == FaultMode.REORDERED
+        """Flush every dirty line, then fence (checkpoint-style image
+        saves): nothing it flushed may revert in a later crash."""
         for line in sorted(self._dirty_lines):
-            start = line * LINE_WORDS
-            end = min(start + LINE_WORDS, self.size_words)
-            self.stats.flushes += 1
-            self.clock.charge(self.latency.clflush_ns)
-            if self.event_log is not None:
-                self.event_log.record_flush(line)
-            if reordered and line not in self._unfenced:
-                self._unfenced[line] = self._durable[start:end].copy()
-            self._unfenced_lines.add(line)
-            self._durable[start:end] = self._words[start:end]
-        self._dirty_lines.clear()
+            self.clflush(line * LINE_WORDS)
+        if self._unfenced_lines:
+            self.fence()
 
     @property
     def dirty_line_count(self) -> int:

@@ -121,6 +121,8 @@ class MemoryPool:
         self._root_cache: Dict[int, int] = {}
         # type id -> Python wrapper class, for typed refcount release.
         self.type_classes: Dict[int, type] = {}
+        # Blocks freed inside the open transaction (None outside one).
+        self._tx_frees: Optional[List[int]] = None
 
     def _compute_layout(self, tx_log_words: int) -> None:
         self._type_table_off = _META_WORDS
@@ -186,6 +188,7 @@ class MemoryPool:
         d.write(_TX_LOG_WORDS, 0)
         d.write(_TX_ACTIVE, 1)
         self.persist.persist(_TX_ACTIVE, 2)
+        self._tx_frees = []
         # Synchronisation: PCJ locks the object/pool around each operation.
         self.clock.charge(self.device.latency.sfence_ns * 2)
         self.obs.inc("pcj.tx.begins")
@@ -223,6 +226,9 @@ class MemoryPool:
             d.write(_TX_ACTIVE, 0)
             d.write(_TX_LOG_WORDS, 0)
             self.persist.persist(_TX_ACTIVE, 2)
+        frees, self._tx_frees = self._tx_frees or (), None
+        for payload_offset in frees:
+            self._free(payload_offset)
         self.obs.inc("pcj.tx.commits")
 
     def tx_abort(self) -> None:
@@ -240,6 +246,7 @@ class MemoryPool:
         for off, count, data in reversed(entries):
             d.write_block(off, data)
             self.persist.flush(off, count)  # drained by tx_commit's fence
+        self._tx_frees = None  # rolled back: what they freed is live again
         self.tx_commit()
         self.obs.inc("pcj.tx.aborts")
 
@@ -351,14 +358,25 @@ class MemoryPool:
         return cursor + HEADER_WORDS
 
     def pfree(self, payload_offset: int) -> None:
+        """Free a block; inside a transaction the free waits for its
+        commit and is dropped by its abort (``pmemobj_tx_free``): a
+        rolled-back reference must never name a recycled block."""
+        if self._tx_frees is not None:
+            self._tx_frees.append(payload_offset)
+        else:
+            self._free(payload_offset)
+
+    def _free(self, payload_offset: int) -> None:
         header = payload_offset - HEADER_WORDS
         d = self.device
         head = d.read(_FREE_HEAD)
         d.write(payload_offset, head)  # free-list link through the payload
-        self.persist.flush(payload_offset)
+        # Two epochs: the link must be durable before the head names the
+        # block, or a crash between the two flushes cuts the list off
+        # into whatever the payload held.
+        self.persist.persist(payload_offset)
         d.write(_FREE_HEAD, header)
-        self.persist.flush(_FREE_HEAD)
-        self.persist.commit_epoch()
+        self.persist.persist(_FREE_HEAD)
 
     # -- header accessors -------------------------------------------------------
     def header_word(self, payload_offset: int, index: int) -> int:

@@ -46,7 +46,7 @@ from repro.runtime.klass import FieldKind, field
 from repro.runtime.objects import ObjectHandle
 
 from repro.pjhlib.collections import (_ensure, _equal_handles, _hash_handle,
-                                      _LONG, _PjhBase)
+                                      _LONG, PjhSubstrate)
 
 _CMAP = "pjh.ConcurrentMap"
 _CNODE = "pjh.ConcurrentNode"
@@ -149,7 +149,7 @@ class PjhConcurrentMap:
 
     def _box_key(self, key):
         jvm = self.jvm
-        if isinstance(key, _PjhBase):
+        if isinstance(key, PjhSubstrate):
             return key.h
         if isinstance(key, ObjectHandle):
             return key

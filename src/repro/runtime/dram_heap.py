@@ -18,7 +18,7 @@ from repro.runtime.metaspace import KlassRegistry
 from repro.runtime.objects import HeapAccess, RootSlot
 from repro.runtime.old_gc import CompactionEngine, CompactStats, VolatileGCHooks
 from repro.runtime.spaces import Space
-from repro.runtime.young_gc import ScavengeStats, YoungCollector
+from repro.runtime.young_gc import PROMOTE_AGE, ScavengeStats, YoungCollector
 
 DEFAULT_DRAM_BASE = 0x1000_0000
 
@@ -31,7 +31,6 @@ class HeapConfig:
     survivor_words: int = 1 << 14      # 128 KiB each
     old_words: int = 1 << 18           # 2 MiB
     region_words: int = 1 << 10        # old-GC region granularity
-    promote_age: int = 2
     base: int = DEFAULT_DRAM_BASE
 
     @property
@@ -100,7 +99,7 @@ class ParallelScavengeHeap:
                       promote_all: bool = False) -> ScavengeStats:
         collector = YoungCollector(
             self.access, self.eden, self.from_space, self.to_space, self.old,
-            promote_age=0 if promote_all else self.config.promote_age)
+            promote_age=0 if promote_all else PROMOTE_AGE)
         stats = collector.collect(roots)
         self.from_space, self.to_space = self.to_space, self.from_space
         self.log.young_collections += 1

@@ -30,12 +30,16 @@ class ScavengeStats:
     copied_words: int = 0
 
 
+#: Scavenges an object survives in the survivor spaces before promotion.
+PROMOTE_AGE = 2
+
+
 class YoungCollector:
     """One scavenge over (eden + from-survivor) into (to-survivor, old)."""
 
     def __init__(self, access: HeapAccess, eden: Space, from_space: Space,
                  to_space: Space, old_space: Space,
-                 promote_age: int = 2) -> None:
+                 promote_age: int = PROMOTE_AGE) -> None:
         self.access = access
         self.eden = eden
         self.from_space = from_space

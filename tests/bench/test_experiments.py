@@ -42,6 +42,21 @@ NAMES = ["fig04", "fig06", "fig15", "fig16", "fig17", "fig18", "gc_cost",
 PINNED = {"fig04", "fig06", "fleet", "concurrent"}
 
 
+#: Fig. 15 at CI size, cell by cell: a change that moves one declares it
+#: by regenerating the file (``python tests/bench/test_experiments.py``).
+FIG15_CELLS = Path(__file__).with_name("fig15_cells.json")
+
+
+def fig15_cells(result) -> dict:
+    """Per cell: both substrates' simulated ns per op and their clflush
+    and sfence counts."""
+    names = ("pjh_clflush", "pjh_sfence", "pcj_clflush", "pcj_sfence")
+    return {"count": result.count, "cells": {
+        "/".join(key): {"pjh_ns": pjh_ns, "pcj_ns": pcj_ns,
+                        **dict(zip(names, result.flushes[key]))}
+        for key, (pjh_ns, pcj_ns, _) in result.cells.items()}}
+
+
 @pytest.mark.parametrize("name", list(EXPERIMENTS))
 def test_claim_holds_at_ci_size(name, tmp_path):
     exp = EXPERIMENTS[name]
@@ -52,6 +67,8 @@ def test_claim_holds_at_ci_size(name, tmp_path):
     if name in PINNED:
         again = exp.run(heap_dir=tmp_path / "b", **exp.ci)
         assert json.dumps(exp.payload(again), sort_keys=True) == dumped
+    if name == "fig15":
+        assert fig15_cells(result) == json.loads(FIG15_CELLS.read_text())
 
 
 def test_registry_is_complete():
@@ -162,3 +179,11 @@ class TestFrontEnd:
         assert "fig04: FAILED: AssertionError: Fig. 4: refuted" in captured.out
         assert "== concurrent:" in captured.out
         assert "1 experiment(s) failed: fig04" in captured.err
+
+
+if __name__ == "__main__":
+    import tempfile
+    fig15 = EXPERIMENTS["fig15"]
+    with tempfile.TemporaryDirectory() as tmp:
+        cells = fig15_cells(fig15.run(heap_dir=Path(tmp), **fig15.ci))
+    FIG15_CELLS.write_text(json.dumps(cells, indent=1, sort_keys=True) + "\n")

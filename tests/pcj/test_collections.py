@@ -1,8 +1,6 @@
 """Tests for PCJ collections: arrays, tuples, lists, hashmaps, refcounting."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.errors import ArrayIndexOutOfBoundsException
 from repro.pcj import (
@@ -185,29 +183,3 @@ class TestRefcounting:
         free_before = pool.free_list_length()
         m.remove(PersistentLong(pool, 1))
         assert pool.free_list_length() > free_before
-
-
-@settings(max_examples=20, deadline=None)
-@given(st.lists(
-    st.tuples(st.sampled_from(["put", "remove", "get"]),
-              st.integers(0, 15), st.integers(-100, 100)),
-    min_size=1, max_size=40))
-def test_property_hashmap_matches_dict(ops):
-    """Property: PersistentHashmap behaves like a Python dict."""
-    pool = MemoryPool(1024 * 1024, tx_log_words=16384)
-    m = PersistentHashmap(pool)
-    model = {}
-    for op, k, v in ops:
-        if op == "put":
-            m.put(PersistentLong(pool, k), PersistentLong(pool, v))
-            model[k] = v
-        elif op == "remove":
-            assert m.remove(PersistentLong(pool, k)) == (k in model)
-            model.pop(k, None)
-        else:
-            got = m.get(PersistentLong(pool, k))
-            if k in model:
-                assert got is not None and got.long_value() == model[k]
-            else:
-                assert got is None
-    assert m.size() == len(model)

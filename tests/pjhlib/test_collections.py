@@ -1,8 +1,6 @@
 """Tests for the PJH-native collection library (Fig. 15's Espresso side)."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.api import Espresso
 from repro.errors import ArrayIndexOutOfBoundsException
@@ -164,28 +162,6 @@ class TestAcidAndPersistence:
         jvm.set_field(v.h, "value", 8)
         txn.abort()
         assert v.long_value() == 7
-
-
-@settings(max_examples=10, deadline=None)
-@given(st.lists(st.tuples(st.sampled_from(["put", "remove"]),
-                          st.integers(0, 10), st.integers(0, 50)),
-                min_size=1, max_size=25))
-def test_property_pjh_hashmap_matches_dict(tmp_path_factory, ops):
-    jvm = Espresso(tmp_path_factory.mktemp("heaps"))
-    jvm.create_heap("lib", 4 * 1024 * 1024)
-    txn = PjhTransaction(jvm)
-    m = PjhHashmap(jvm, txn)
-    model = {}
-    for op, k, v in ops:
-        if op == "put":
-            m.put(PjhLong(jvm, txn, k), PjhLong(jvm, txn, v))
-            model[k] = v
-        else:
-            assert m.remove(PjhLong(jvm, txn, k)) == (k in model)
-            model.pop(k, None)
-    assert m.size() == len(model)
-    for k, v in model.items():
-        assert jvm.get_field(m.get(PjhLong(jvm, txn, k)), "value") == v
 
 
 class TestRehashDurability:
