@@ -154,8 +154,7 @@ class HeapManager:
         report = LoadReport(heap_name=name)
         start_ns = self.vm.clock.now_ns
 
-        attrs = self.names.attributes(name)
-        size_words = attrs["size_words"]
+        size_words = self.names.attributes(name)["size_words"]
         device = NvmDevice(size_words, self.vm.clock, self.vm.latency,
                            name=f"pjh:{name}")
         device.load_image(self.names.load_image(name))
@@ -239,7 +238,6 @@ class HeapManager:
             self.vm.memory.unmap(device)
             raise
         if report.remapped:
-            heap.metadata.set_address_hint(base)
             self.names.update_address_hint(name, base)
 
         self.vm.attach_persistent_space(heap)
@@ -336,105 +334,59 @@ class HeapManager:
 # Remap: rewrite every internal pointer by the relocation delta (§3.3)
 # ----------------------------------------------------------------------
 def _remap_pointers(heap: PersistentHeap, old_base: int, new_base: int) -> None:
-    """Rewrite all pointers of a *clean* heap after relocation.
+    """Rewrite all pointers of a *clean* heap after relocation: name-table
+    values, then Klass records (so the Klasses register at their new
+    addresses), then every object the heap parses, then top and hints."""
+    from repro.core.klass_segment import KlassSegment
+    from repro.core.name_table import NameTable
 
-    Walk order matters: Klass records first (self-contained), then the name
-    table (so Klass entries point at relocated records), then — after the
-    registry can resolve the relocated class pointers — every data object.
-    """
-    from repro.core.klass_segment import KlassSegment, record_words, _R_SUPER, \
-        _R_ELEMENT_KLASS, _R_FIELD_COUNT
-    from repro.core.name_table import ENTRY_WORDS, _TYPE, _VALUE
-
-    device = heap.device
-    metadata = MetadataArea(device)
+    metadata, vm = heap.metadata, heap.vm
     layout = metadata.layout()
     delta = new_base - old_base
-    old_end = old_base + layout.size_words
 
-    def in_old(value: int) -> bool:
-        return old_base <= value < old_end
+    def old(value: int) -> bool:
+        return old_base <= value < old_base + layout.size_words
 
-    def shift(offset: int) -> None:
-        value = device.read(offset)
-        if value != obj_layout.NULL and in_old(value):
-            device.write(offset, value + delta)
+    def shift(address: int) -> None:
+        value = vm.memory.read(address)
+        if old(value):
+            vm.memory.write(address, value + delta)
 
-    # 1) Klass segment records.
-    cursor = layout.klass_segment_offset
-    seg_top = metadata.klass_segment_top
-    record_starts = []
-    while cursor < seg_top:
-        record_starts.append(cursor)
-        shift(cursor + _R_SUPER)
-        shift(cursor + _R_ELEMENT_KLASS)
-        field_count = device.read(cursor + _R_FIELD_COUNT)
-        cursor += record_words(field_count)
+    names = NameTable(heap.device, metadata, layout.name_table_offset,
+                      layout.name_table_capacity, new_base, vm.memory)
+    for _name, _value, index in names.entries():
+        shift(names.value_slot_address(index))
+    klasses = KlassSegment(heap.device, metadata, names, new_base,
+                           vm.registry)
+    klasses.relocate(shift)
+    klasses.reinitialize_all(vm.metaspace)
 
-    # 2) Name table values (Klass entries and root entries alike).
-    for index in range(metadata.name_table_count):
-        entry = layout.name_table_offset + index * ENTRY_WORDS
-        if device.read(entry + _TYPE) != 0:
-            shift(entry + _VALUE)
-
-    # 3) Data heap objects: klass pointers and reference fields.  We decode
-    #    sizes through a throwaway registry built from the relocated records.
-    from repro.runtime.klass import FieldKind
-    from repro.runtime.metaspace import KlassRegistry
-
-    temp_registry = KlassRegistry()
-    temp_heap = PersistentHeap(heap.name, heap.vm, device, new_base)
-    temp_heap.metadata = metadata
-    temp_heap.layout = layout
-    # Deserialise records in address order against the temp registry.
-    seg = KlassSegment.__new__(KlassSegment)
-    seg.device = device
-    seg.metadata = metadata
-    seg.base_address = new_base
-    seg.registry = temp_registry
-    seg.offset = layout.klass_segment_offset
-    seg.limit = seg.offset + layout.klass_segment_words
-    seg._by_name = {}
-    klasses = {}
-    for start in record_starts:
-        klass = seg._deserialize(new_base + start)
-        temp_registry.register(klass, new_base + start)
-        klasses[new_base + start] = klass
-
-    data_start = layout.data_offset
-    top_offset = metadata.top - old_base
-    # Allocation buffers claimed but not settled at crash time leave
-    # zeroed gaps *inside* the walked range; their table entries (data-
-    # relative, so relocation-independent) say how far to skip.
-    buffer_ends = {}
-    for _slot, rel_start, extent in metadata.alloc_buffer_entries():
-        region = data_start + rel_start
-        buffer_ends[region] = region + extent
-    cursor = data_start
-    while cursor < top_offset:
-        if device.read(cursor + obj_layout.KLASS_WORD_OFFSET) == 0:
-            skip = next((end for start, end in buffer_ends.items()
-                         if start <= cursor < end), None)
-            if skip is not None and skip > cursor:
-                cursor = min(skip, top_offset)
-                continue
-            break  # zeroed tail below the TLAB high watermark
-        shift(cursor + obj_layout.KLASS_WORD_OFFSET)
-        klass = temp_registry.resolve(
-            device.read(cursor + obj_layout.KLASS_WORD_OFFSET))
-        if klass.is_array:
-            length = device.read(cursor + obj_layout.ARRAY_LENGTH_OFFSET)
-            size = klass.array_words(length)
-            if klass.element_kind is FieldKind.REF:
-                for i in range(length):
-                    shift(cursor + obj_layout.ARRAY_HEADER_WORDS + i)
+    # Crashed allocation-buffer claims (data-relative table entries).
+    data = new_base + layout.data_offset
+    windows = [(data + start, data + start + extent)
+               for _slot, start, extent in metadata.alloc_buffer_entries()]
+    start, top = data, metadata.top + delta
+    while start < top:
+        for address, klass, _size in heap.parse(
+                start, top, lambda word: vm.registry.find(word + delta)
+                if old(word) else None):
+            if klass is None:
+                break
+            vm.access.set_klass(address, klass)
+            for slot in vm.access.ref_slot_addresses(address):
+                shift(slot)
         else:
-            size = klass.instance_words
-            for off in klass.ref_field_offsets():
-                shift(cursor + off)
-        cursor += size
+            break  # parsed to top
+        word = vm.access.klass_pointer(address)
+        if word:
+            raise CorruptHeapError("remap", f"object @{address:#x} (klass "
+                                            f"word {word:#x}) does not parse")
+        # A zero header inside a claim window starts the window's unused
+        # tail; anywhere else nothing durable lies above it.
+        start = next((end for begin, end in windows
+                      if begin <= address < end), top)
 
-    # 4) Metadata: the replicated top and the address hint.
-    metadata.set_top(metadata.top + delta)
+    metadata.set_top(top)
+    metadata.set_alloc_scan_hint(metadata.alloc_scan_hint + delta)
     metadata.set_address_hint(new_base)
-    device.persist_all()
+    heap.device.persist_all()

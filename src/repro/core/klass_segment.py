@@ -17,7 +17,7 @@ words of segment space.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -52,10 +52,6 @@ _R_ELEMENT_KLASS = _R_ELEMENT_KIND + 1      # 12
 _R_FIELD_COUNT = _R_ELEMENT_KLASS + 1       # 13
 _R_FIELDS = _R_FIELD_COUNT + 1              # 14
 _FIELD_RECORD_WORDS = 1 + 1 + _NAME_WORDS   # kind + name_len + name
-
-
-def record_words(field_count: int) -> int:
-    return _R_FIELDS + field_count * _FIELD_RECORD_WORDS
 
 
 class KlassSegment:
@@ -123,7 +119,7 @@ class KlassSegment:
         return nvm_klass
 
     def _serialize(self, klass: Klass) -> int:
-        size = record_words(len(klass.own_fields))
+        size = _R_FIELDS + len(klass.own_fields) * _FIELD_RECORD_WORDS
         top = self.metadata.klass_segment_top
         if top + size > self.limit:
             raise OutOfMemoryError(
@@ -164,10 +160,11 @@ class KlassSegment:
         entries = sorted(
             self.name_table.entries(ENTRY_TYPE_KLASS), key=lambda e: e[1])
         for name, address, _index in entries:
-            if self.registry.knows(address):
-                # Same VM remounting the heap: the Klass is already live at
-                # this address; reinitialisation in place is a no-op.
-                klass = self.registry.resolve(address)
+            klass = self.registry.find(address)
+            if klass is not None:
+                # Same VM remounting the heap (or a remap that registered
+                # it): the Klass is already live at this address, and
+                # reinitialisation in place is a no-op.
                 if klass.name != name:
                     raise HeapCorruptionError(
                         f"Klass entry {name!r} collides with live Klass "
@@ -184,6 +181,15 @@ class KlassSegment:
             if volatile_twin is not None and volatile_twin.alias is None:
                 volatile_twin.link_alias(klass)
         return len(entries)
+
+    def relocate(self, shift: Callable[[int], None]) -> None:
+        """Remap (§3.3): hand the address of every record's super and
+        element word to *shift*, once the name table holds the records'
+        new addresses."""
+        for _name, address, _index in self.name_table.entries(
+                ENTRY_TYPE_KLASS):
+            shift(address + _R_SUPER)
+            shift(address + _R_ELEMENT_KLASS)
 
     def _deserialize(self, address: int) -> Klass:
         offset = address - self.base_address

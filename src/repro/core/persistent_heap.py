@@ -23,11 +23,12 @@ object — the recovery behaviour the paper's ordering argument implies.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import OutOfMemoryError
+from repro.errors import (HeapCorruptionError, IllegalArgumentException,
+                          OutOfMemoryError)
 from repro.nvm.device import NvmDevice
 from repro.nvm.persist import PersistDomain, PersistEventLog
 from repro.nvm.publish import publish_point
@@ -89,6 +90,8 @@ class PersistentHeap(PersistentSpaceService):
         self.klass_segment: KlassSegment = None  # type: ignore[assignment]
         self.frames: FrameSegment = None  # type: ignore[assignment]
         self.data_space: Space = None  # type: ignore[assignment]
+        # Live allocation buffers, keyed by mutator slot.
+        self._buffers: dict = {}
 
     # ------------------------------------------------------------------
     # Mounting
@@ -111,11 +114,6 @@ class PersistentHeap(PersistentSpaceService):
         # time and read counts include it, as they do the same read after
         # a slow-path allocation and after a collection.
         self.metadata.top
-        # Per-mutator allocation buffers, keyed by mutator slot.  Always
-        # empty right after a mount: fresh heaps have no claims, and
-        # recovery (validate_and_truncate) settles any crashed claims
-        # before allocation resumes.
-        self._buffers: dict = {}
         # A session-level flush-elision certificate covers every domain
         # of a newly mounted heap (certify_elision installs it the same
         # way on heaps already mounted when it runs).
@@ -420,38 +418,69 @@ class PersistentHeap(PersistentSpaceService):
     # ------------------------------------------------------------------
     # Heap walking and load-time validation
     # ------------------------------------------------------------------
-    def walk(self) -> Iterator[int]:
-        """Yield the address of every object below top, in address order.
-
-        The unfilled tail of a live allocation buffer holds no objects
-        yet, so the walk hops from its cursor straight to its end.
+    def parse(self, start: int, end: int, resolve=None
+              ) -> Iterator[Tuple[int, Optional[Klass], int]]:
+        """Yield ``(address, klass, size)`` for each object over [start,
+        end), in address order, reading each header word once and hopping
+        the unfilled tail of every live allocation buffer.  The parse stops
+        at the first header whose klass word *resolve* (default: the VM's
+        registry) maps to None, or whose body overruns *end*, and then
+        yields ``(stop, None, 0)`` last.  A negative array length raises.
         """
+        if resolve is None:
+            resolve = self.vm.registry.find
         tails = {b.cursor: b.end for b in self._buffers.values()
                  if b.cursor < b.end}
-        cursor = self.data_space.base
-        access = self.vm.access
-        while cursor < self.data_space.top:
+        read = self.device.read
+        cursor = start
+        while cursor < end:
             skip = tails.get(cursor)
             if skip is not None:
                 cursor = skip
                 continue
-            yield cursor
-            cursor += access.object_words(cursor)
+            offset = cursor - self.base_address
+            klass = resolve(read(offset + obj_layout.KLASS_WORD_OFFSET))
+            if klass is None:
+                break
+            if klass.is_array:
+                length = read(offset + obj_layout.ARRAY_LENGTH_OFFSET)
+                if length < 0:
+                    raise IllegalArgumentException(
+                        f"object @{cursor:#x} ({klass.name}): unsizeable: "
+                        f"negative array length {length}")
+                size = klass.array_words(length)
+            else:
+                size = klass.instance_words
+            if cursor + size > end:
+                break
+            yield cursor, klass, size
+            cursor += size
+        if cursor < end:
+            yield cursor, None, 0
+
+    def walk(self) -> Iterator[int]:
+        """Yield the address of every object below top, in address order;
+        raise if the heap does not parse to its top."""
+        top = self.data_space.top
+        for address, klass, _size in self.parse(self.data_space.base, top):
+            if klass is None:
+                raise HeapCorruptionError(f"PJH {self.name!r}: object "
+                                          f"@{address:#x} does not parse")
+            yield address
 
     def _settle_buffer_claims(self) -> int:
         """Recovery for crashed allocation-buffer claims (DESIGN.md §17).
 
-        Walks every claimed window recorded in the metadata table, highest
+        Parses every claimed window recorded in the metadata table, highest
         first.  A window that parses to its end was fully used — the claim
         is simply dropped.  A window with a durably-zero tail either loses
         the tail (topmost window: the durable top retreats to the last
         good object) or gets an int[] filler over it (interior window), so
         the heap parses linearly again.  Every step is idempotent: a crash
         during recovery leaves either the old shape (re-runs identically)
-        or the repaired shape with a stale claim (re-walk parses cleanly
-        and just drops the claim).  Returns the words truncated.
+        or the repaired shape with a stale claim (re-parse succeeds and
+        just drops the claim).  Returns the words truncated.
         """
-        registry = self.vm.registry
         base = self.data_space.base
         running_top = self.data_space.top
         truncated = 0
@@ -466,18 +495,12 @@ class PersistentHeap(PersistentSpaceService):
                 self.metadata.clear_alloc_buffer_entry(slot)
                 continue
             end = min(start + extent, running_top)
-            cursor, sizes = start, []
-            while cursor < end:
-                klass_ptr = self.device.read(
-                    cursor - self.base_address
-                    + obj_layout.KLASS_WORD_OFFSET)
-                if not registry.knows(klass_ptr):
-                    break  # header never became durable
-                size = self.vm.access.object_words(cursor)
-                if cursor + size > end:
-                    break  # body overruns the claimed window
-                sizes.append(size)
-                cursor += size
+            cursor, objects = end, []
+            for address, klass, _size in self.parse(start, end):
+                if klass is None:
+                    cursor = address
+                else:
+                    objects.append(address)
             gap = end - cursor
             if gap and gap < obj_layout.ARRAY_HEADER_WORDS:
                 # Too small to hold a filler.  Every completed allocation
@@ -486,7 +509,7 @@ class PersistentHeap(PersistentSpaceService):
                 # fault model persisted the last object's klass word but
                 # not its array length — roll that object back into the
                 # gap; its allocation never finished its persist epoch.
-                cursor -= sizes.pop()
+                cursor = objects.pop()
                 gap = end - cursor
             if gap:
                 if end == running_top:
@@ -506,25 +529,16 @@ class PersistentHeap(PersistentSpaceService):
         Returns the number of words truncated (0 in the common case).
         """
         truncated = self._settle_buffer_claims()
-        registry = self.vm.registry
-        cursor = self.data_space.base
+        start = self.data_space.base
         hint = self.metadata.alloc_scan_hint
-        if self.data_space.base <= hint <= self.data_space.top:
-            cursor = hint
         top = self.data_space.top
-        while cursor < top:
-            klass_ptr = self.device.read(
-                cursor - self.base_address + obj_layout.KLASS_WORD_OFFSET)
-            if not registry.knows(klass_ptr):
-                break  # header never became durable
-            size = self.vm.access.object_words(cursor)
-            if cursor + size > top:
-                break  # body overruns the durable top
-            cursor += size
-        if cursor < top:
-            truncated += top - cursor
-            self.data_space.set_top(cursor)
-            self.metadata.set_top(cursor)
+        if start <= hint <= top:
+            start = hint
+        for stop, klass, _size in self.parse(start, top):
+            if klass is None:
+                truncated += top - stop
+                self.data_space.set_top(stop)
+                self.metadata.set_top(stop)
         return truncated
 
     def zeroing_scan(self, workers: Optional[int] = None) -> int:
@@ -556,9 +570,7 @@ class PersistentHeap(PersistentSpaceService):
                 addresses, self._zero_out_of_heap_refs, phase="scan")
             nullified = sum(counts)
         else:
-            nullified = 0
-            for address in self.walk():
-                nullified += self._zero_out_of_heap_refs(address)
+            nullified = sum(map(self._zero_out_of_heap_refs, self.walk()))
         if nullified:
             self.device.persist_all()
         return nullified
@@ -647,10 +659,8 @@ class PersistentHeap(PersistentSpaceService):
         traffic.  The walk is O(objects); intended for tooling, not hot
         paths.
         """
-        objects = 0
         by_klass: dict = {}
         for address in self.walk():
-            objects += 1
             name = self.vm.access.klass_of(address).name
             by_klass[name] = by_klass.get(name, 0) + 1
         return {
@@ -659,7 +669,7 @@ class PersistentHeap(PersistentSpaceService):
             "data_words": self.layout.data_words,
             "used_words": self.data_space.used_words,
             "free_words": self.data_space.free_words,
-            "objects": objects,
+            "objects": sum(by_klass.values()),
             "objects_by_class": by_klass,
             "klasses": self.klass_segment.klass_count(),
             "roots": len(self.name_table.root_slots()),

@@ -34,10 +34,6 @@ _COL_FLAG_PK = 1
 _COL_FLAG_NOT_NULL = 2
 
 
-def record_words(ncols: int) -> int:
-    return _TABLE_FIXED + ncols * _COL_WORDS
-
-
 @dataclass
 class TableDef:
     """One live table: schema + storage anchor."""
@@ -114,7 +110,7 @@ class Catalog:
                 primary_key=bool(col_flags & _COL_FLAG_PK),
                 not_null=bool(col_flags & _COL_FLAG_NOT_NULL)))
             col_cursor += _COL_WORDS
-        size = record_words(ncols)
+        size = _TABLE_FIXED + ncols * _COL_WORDS
         if flags & _FLAG_DROPPED:
             return None, size
         return TableDef(name, tuple(columns), first_page, cursor), size
@@ -124,7 +120,7 @@ class Catalog:
                      first_page: int) -> TableDef:
         if name.lower() in self.tables:
             raise SqlError(f"table {name!r} already exists")
-        size = record_words(len(columns))
+        size = _TABLE_FIXED + len(columns) * _COL_WORDS
         if self._used_words + size > self.capacity:
             raise SqlError("catalog region full")
         cursor = self.offset + self._used_words

@@ -61,6 +61,8 @@ _MAGIC = 0
 _PAGE_WORDS = 1
 _NEXT_PAGE = 2
 _TABLE_COUNT = 3
+_WAL_WORDS = 4
+_CATALOG_WORDS = 5
 _META_WORDS = 16
 
 DB_MAGIC = 0x48324442  # "H2DB"
@@ -103,13 +105,17 @@ class Database:
         self.persist = PersistDomain(d, name="h2-meta")
         if fresh:
             d.write(_PAGE_WORDS, page_words)
+            d.write(_WAL_WORDS, wal_words)
+            d.write(_CATALOG_WORDS, catalog_words)
             d.write(_NEXT_PAGE, 0)
             d.write(_TABLE_COUNT, 0)
             d.write(_MAGIC, DB_MAGIC)
             self.persist.persist(0, _META_WORDS)
         elif d.read(_MAGIC) != DB_MAGIC:
             raise SqlError("device does not contain a database")
-        page_words = d.read(_PAGE_WORDS)
+        page_words = d.read(_PAGE_WORDS)  # the layout as created
+        wal_words = d.read(_WAL_WORDS)
+        catalog_words = d.read(_CATALOG_WORDS)
         catalog_offset = _META_WORDS
         wal_offset = catalog_offset + catalog_words
         pages_offset = wal_offset + wal_words

@@ -44,8 +44,9 @@ class KlassRegistry:
             raise HeapCorruptionError(
                 f"class pointer {address:#x} resolves to no Klass") from None
 
-    def knows(self, address: int) -> bool:
-        return address in self._by_address
+    def find(self, address: int) -> Optional[Klass]:
+        """The Klass registered at *address*, or None."""
+        return self._by_address.get(address)
 
 
 class Metaspace:

@@ -40,6 +40,8 @@ from dataclasses import dataclass, field
 from typing import List, Set
 
 from repro.core.name_table import ENTRY_TYPE_KLASS, ENTRY_TYPE_ROOT
+from repro.errors import (CorruptHeapError, HeapCorruptionError,
+                          IllegalArgumentException)
 from repro.runtime import layout
 
 
@@ -94,39 +96,27 @@ def fsck_heap(heap) -> FsckReport:
     registry = vm.registry
     space = heap.data_space
 
-    # Pass 1: walk objects, record valid starts.  On a live heap the
-    # unclaimed tail of each mutator's allocation buffer is still zeroed
-    # (no object header yet) — skip those windows; a loaded-from-disk
-    # heap has already settled every buffer claim during recovery.
-    tails = {buf.cursor: buf.end
-             for buf in getattr(heap, "_buffers", {}).values()
-             if buf.cursor < buf.end}
+    # Pass 1: parse the objects, record valid starts.  The heap's parser
+    # hops the unfilled tail of each live allocation buffer; a heap loaded
+    # from disk has already settled every buffer claim during recovery.
     starts: Set[int] = set()
-    cursor = space.base
-    while cursor < space.top:
-        skip = tails.get(cursor)
-        if skip is not None:
-            cursor = skip
-            continue
-        klass_ptr = vm.memory.read(cursor + layout.KLASS_WORD_OFFSET)
-        if not registry.knows(klass_ptr):
-            report.error(f"object @{cursor:#x}: unresolvable klass pointer "
-                         f"{klass_ptr:#x}")
-            break
-        klass = registry.resolve(klass_ptr)
-        try:
-            size = vm.access.object_words(cursor)
-        except Exception as exc:  # corrupt length word, etc.
-            report.error(f"object @{cursor:#x} ({klass.name}): "
-                         f"unsizeable: {exc}")
-            break
-        if size <= 0 or cursor + size > space.top:
-            report.error(f"object @{cursor:#x} ({klass.name}): size {size} "
-                         f"overruns top {space.top:#x}")
-            break
-        starts.add(cursor)
-        report.objects += 1
-        cursor += size
+    try:
+        for address, klass, _size in heap.parse(space.base, space.top):
+            if klass is not None:
+                starts.add(address)
+                report.objects += 1
+                continue
+            klass_ptr = vm.memory.read(address + layout.KLASS_WORD_OFFSET)
+            klass = registry.find(klass_ptr)
+            if klass is None:
+                report.error(f"object @{address:#x}: unresolvable klass "
+                             f"pointer {klass_ptr:#x}")
+            else:
+                report.error(f"object @{address:#x} ({klass.name}): size "
+                             f"{vm.access.object_words(address)} overruns "
+                             f"top {space.top:#x}")
+    except IllegalArgumentException as exc:  # a negative array length
+        report.error(str(exc))
 
     # Pass 2: reference validity.
     for address in sorted(starts):
@@ -153,7 +143,7 @@ def fsck_heap(heap) -> FsckReport:
             report.error(f"root {name!r} points at {value:#x}, "
                          f"not an object start")
     for name, value, _index in heap.name_table.entries(ENTRY_TYPE_KLASS):
-        if not registry.knows(value):
+        if registry.find(value) is None:
             report.error(f"Klass entry {name!r} -> {value:#x} unresolvable")
 
     # Pass 4: metadata invariants.
@@ -180,7 +170,6 @@ def _check_frames(heap, starts: Set[int], report: FsckReport) -> None:
     from repro.core.frame_segment import (FRAME_FINISHED, FRAME_WORDS,
                                           KIND_INT, KIND_NONE, KIND_REF)
     from repro.core.metadata import TASK_RUNNING
-    from repro.errors import HeapCorruptionError
 
     frames = heap.frames
     metadata = heap.metadata
@@ -248,9 +237,7 @@ def _check_frames(heap, starts: Set[int], report: FsckReport) -> None:
 def fsck(heap_dir, name: str) -> FsckReport:
     """Load *name* from *heap_dir* in a throwaway JVM and check it."""
     from repro.api import Espresso
-    jvm = Espresso(heap_dir)
-    heap = jvm.heaps.load_heap(name)
-    return fsck_heap(heap)
+    return fsck_heap(Espresso(heap_dir).heaps.load_heap(name))
 
 
 #: Exit-code severity for --all-heaps aggregation: structural corruption
@@ -266,7 +253,6 @@ def _worst(codes) -> int:
 def _check_one(heap_dir, name: str, check_escapes: bool,
                check_frames: bool):
     """fsck one heap; returns ``(report, exit_code)``, never raises."""
-    from repro.errors import CorruptHeapError
     try:
         report = fsck(heap_dir, name)
     except CorruptHeapError as exc:
@@ -313,28 +299,21 @@ def _main_all_heaps(heap_dir, as_json: bool, check_escapes: bool,
     if not names:
         print(f"fsck: no heaps under {heap_dir}")
         return 1
-    results = {}
-    codes = {}
-    for name in names:
-        report, code = _check_one(heap_dir, name, check_escapes,
-                                  check_frames)
-        results[name] = report
-        codes[name] = code
-    worst = _worst(codes.values())
+    checked = {name: _check_one(heap_dir, name, check_escapes, check_frames)
+               for name in names}
+    worst = _worst(code for _report, code in checked.values())
     if as_json:
-        payload = {
-            "heaps": {name: dict(results[name].to_dict(),
-                                 exit_code=codes[name])
-                      for name in names},
+        print(json.dumps({
+            "heaps": {name: dict(report.to_dict(), exit_code=code)
+                      for name, (report, code) in checked.items()},
             "scanned": len(names),
             "worst": worst,
-        }
-        print(json.dumps(payload, indent=2))
+        }, indent=2))
         return worst
-    for name in names:
+    for name, (report, code) in checked.items():
         print(f"--- {name} ---")
-        _print_one(results[name], codes[name])
-    dirty = sum(1 for code in codes.values() if code != 0)
+        _print_one(report, code)
+    dirty = sum(1 for _report, code in checked.values() if code != 0)
     print(f"fsck: {len(names)} heap(s) scanned, {dirty} dirty, "
           f"worst exit code {worst}")
     return worst
@@ -344,26 +323,16 @@ def main(argv=None) -> int:
     import json
     import sys
     args = list(sys.argv[1:] if argv is None else argv)
-    as_json = "--json" in args
-    if as_json:
-        args.remove("--json")
-    check_escapes = "--check-escapes" in args
-    if check_escapes:
-        args.remove("--check-escapes")
-    check_frames = "--check-frames" in args
-    if check_frames:
-        args.remove("--check-frames")
-    all_heaps = "--all-heaps" in args
-    if all_heaps:
-        args.remove("--all-heaps")
-        if len(args) != 1:
-            print(__doc__)
-            return 1
-        return _main_all_heaps(args[0], as_json, check_escapes,
-                               check_frames)
-    if len(args) != 2:
+    flags = ("--json", "--check-escapes", "--check-frames", "--all-heaps")
+    as_json, check_escapes, check_frames, all_heaps = (
+        flag in args for flag in flags)
+    args = [arg for arg in args if arg not in flags]
+    if len(args) != (1 if all_heaps else 2):
         print(__doc__)
         return 1
+    if all_heaps:
+        return _main_all_heaps(args[0], as_json, check_escapes,
+                               check_frames)
     report, code = _check_one(args[0], args[1], check_escapes, check_frames)
     if as_json:
         print(json.dumps(report.to_dict(), indent=2))

@@ -8,10 +8,11 @@ naming the failing region — and salvage mode must recover what it can.
 
 import pytest
 
-from repro.api import Espresso
+from repro.api import Espresso, EspressoConfig
 from repro.core import metadata as md
 from repro.core import name_table as nt
 from repro.errors import CorruptHeapError, HeapCorruptionError
+from repro.runtime import layout
 from repro.runtime.klass import FieldKind, field
 
 
@@ -150,6 +151,26 @@ class TestNameTableEntries:
         heap, report = jvm2.heaps.load_heap_with_report("h")
         assert report.discarded_entries == []
         assert jvm2.get_field(jvm2.get_root("keep"), "v") == 3
+
+
+class TestDataHeap:
+    def test_negative_array_length_names_the_data_heap(self, tmp_path):
+        jvm = Espresso(tmp_path / "h",
+                       config=EspressoConfig(alloc_buffer_words=64))
+        jvm.create_heap("h", 128 * 1024)
+        array = jvm.pnew_array(FieldKind.INT, 4)
+        jvm.set_root("keep", array)
+        heap = jvm.heaps.heap("h")
+        length_word = (array.address - heap.base_address
+                       + layout.ARRAY_LENGTH_OFFSET)
+        jvm.crash()  # the buffer claim stays: the load parses its window
+        image = jvm.heaps.names.load_image("h")
+        image[length_word] = -1
+        jvm.heaps.names.save_image("h", image)
+        with pytest.raises(CorruptHeapError) as info:
+            _load(tmp_path)
+        assert info.value.region == "data-heap"
+        assert "negative array length -1" in info.value.detail
 
 
 class TestLoadReport:

@@ -1,15 +1,21 @@
 """Tests for the Table 1 heap-management APIs and the load pipeline."""
 
+import shutil
+
 import pytest
 
-from repro.api import Espresso
+from repro.api import Espresso, EspressoConfig
 from repro.errors import (
+    CorruptHeapError,
     HeapExistsError,
     HeapNotFoundError,
     IllegalArgumentException,
     IllegalStateException,
+    SimulatedCrash,
 )
+from repro.runtime import layout
 from repro.runtime.klass import FieldKind, field
+from repro.tools.fsck import fsck_heap
 
 from tests.core.conftest import HEAP_BYTES, define_person
 
@@ -183,6 +189,105 @@ class TestRemap:
         _heap3, report3 = jvm3.heaps.load_heap_with_report("first")
         assert not report3.remapped
         assert read_list(jvm3, jvm3.get_root("head")) == [1, 2, 3, 4, 5]
+
+    @staticmethod
+    def _load(heap_dir, squat: bool):
+        """Load 'first' in a fresh VM, with its hint occupied if *squat*."""
+        from tests.core.conftest import define_node
+        jvm = Espresso(heap_dir, config=EspressoConfig(alloc_buffer_words=64))
+        define_node(jvm)
+        if squat:
+            jvm.create_heap("squatter", HEAP_BYTES)  # lands on first's hint
+        heap, report = jvm.heaps.load_heap_with_report("first")
+        assert report.remapped == squat
+        return jvm, heap, report
+
+    def test_remap_settles_a_crashed_buffer_claim(self, heap_dir, tmp_path):
+        from tests.core.conftest import define_node, pnew_list, read_list
+        jvm = Espresso(heap_dir, config=EspressoConfig(alloc_buffer_words=64))
+        node = define_node(jvm)
+        jvm.create_heap("first", HEAP_BYTES)
+        head = pnew_list(jvm, node, [1, 2, 3, 4])
+        jvm.flush_reachable(head)
+        jvm.set_root("head", head)
+        assert jvm.heaps.heap("first").metadata.alloc_buffer_entries()
+        jvm.crash()  # the buffer's claim and unused tail stay durable
+        in_place_dir = tmp_path / "in-place"
+        shutil.copytree(heap_dir, in_place_dir)
+
+        loads = [self._load(heap_dir, squat=True),
+                 self._load(in_place_dir, squat=False)]
+        assert loads[0][2].truncated_words == loads[1][2].truncated_words > 0
+        for jvm, heap, _report in loads:
+            assert read_list(jvm, jvm.get_root("head")) == [1, 2, 3, 4]
+            assert fsck_heap(heap).clean
+
+    def test_remap_moves_the_scan_hint(self, heap_dir, tmp_path):
+        from tests.core.conftest import define_node, pnew_list
+        jvm = Espresso(heap_dir, config=EspressoConfig(alloc_buffer_words=64))
+        node = define_node(jvm)
+        jvm.create_heap("first", HEAP_BYTES)
+        jvm.set_root("head", pnew_list(jvm, node, list(range(200))))
+        jvm.shutdown()
+        in_place_dir = tmp_path / "in-place"
+        shutil.copytree(heap_dir, in_place_dir)
+
+        load_ns = []
+        for where, squat in ((heap_dir, True), (in_place_dir, False)):
+            self._load(where, squat)[0].shutdown()
+            _jvm, heap, report = self._load(where, squat=False)
+            space = heap.data_space
+            assert space.base <= heap.metadata.alloc_scan_hint <= space.top
+            load_ns.append(report.load_ns)
+        # The scan hint keeps a reload O(#Klasses): no data-heap parse.
+        assert load_ns[0] == load_ns[1]
+
+    def test_remap_refuses_an_unknown_klass_word(self, heap_dir):
+        from tests.core.conftest import define_node, pnew_list
+        jvm = Espresso(heap_dir)
+        node = define_node(jvm)
+        heap = jvm.heaps.create_heap("first", HEAP_BYTES)
+        jvm.set_root("head", pnew_list(jvm, node, [1, 2, 3]))
+        last = list(heap.walk())[-1]
+        jvm.shutdown()
+        image = jvm.heaps.names.load_image("first")
+        image[last - heap.base_address + layout.KLASS_WORD_OFFSET] = 0xDEAD
+        jvm.heaps.names.save_image("first", image)
+
+        squatted = Espresso(heap_dir)
+        define_node(squatted)
+        squatted.create_heap("squatter", HEAP_BYTES)
+        with pytest.raises(CorruptHeapError) as failure:
+            squatted.heaps.load_heap_with_report("first")
+        assert failure.value.region == "remap"
+
+    def test_recovery_pending_with_hint_occupied_is_refused(self, heap_dir):
+        from tests.core.conftest import define_node, pnew_list, read_list
+        jvm = Espresso(heap_dir)
+        node = define_node(jvm)
+        jvm.create_heap("first", HEAP_BYTES, region_words=128)
+        for _ in range(64):
+            jvm.pnew(node).close()  # garbage for the compactor to move over
+        head = pnew_list(jvm, node, [1, 2, 3])
+        jvm.flush_reachable(head)
+        jvm.set_root("head", head)
+        jvm.vm.failpoints.crash_on_hit("gc.compact.region_done", 1)
+        with pytest.raises(SimulatedCrash):
+            jvm.persistent_gc()
+        jvm.crash()
+
+        squatted = Espresso(heap_dir)
+        define_node(squatted)
+        squatted.create_heap("squatter", HEAP_BYTES)
+        with pytest.raises(IllegalStateException, match="needs recovery"):
+            squatted.heaps.load_heap_with_report("first")
+
+        fresh = Espresso(heap_dir)
+        define_node(fresh)
+        heap, report = fresh.heaps.load_heap_with_report("first")
+        assert report.recovery.performed and not report.remapped
+        assert read_list(fresh, fresh.get_root("head")) == [1, 2, 3]
+        assert fsck_heap(heap).clean
 
     def test_no_remap_when_hint_free(self, heap_dir):
         jvm = Espresso(heap_dir)

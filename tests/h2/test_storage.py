@@ -172,13 +172,22 @@ class TestWal:
 
 
 class TestCatalog:
-    def test_persisted_across_reopen(self, db):
+    @pytest.mark.parametrize("layout", [
+        {}, {"wal_words": 1 << 14}, {"catalog_words": 4096},
+    ], ids=["default", "wal_words", "catalog_words"])
+    def test_persisted_across_reopen(self, layout):
+        # A reopen must find the WAL, catalog and pages where the creating
+        # call put them, whatever sizes it chose.
+        db = Database(size_words=1 << 18, page_words=128, **layout)
         db.execute("CREATE TABLE a (x INT PRIMARY KEY)")
         db.execute("CREATE TABLE b (y VARCHAR)")
+        for i in range(5):
+            db.execute("INSERT INTO a VALUES (?)", (i,))
         db2 = db.crash()
         assert db2.catalog.exists("a")
         assert db2.catalog.exists("b")
         assert db2.catalog.get("a").columns[0].primary_key
+        assert db2.execute("SELECT COUNT(*) FROM a").scalar() == 5
 
     def test_drop_is_persistent(self, db):
         db.execute("CREATE TABLE a (x INT PRIMARY KEY)")

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.api import Espresso
+from repro.errors import HeapCorruptionError
 from repro.runtime import layout
 from repro.runtime.klass import FieldKind, field
 from repro.tools.fsck import fsck, fsck_heap, main
@@ -53,14 +54,31 @@ def test_clean_after_restart(populated):
     assert report.clean, report.errors
 
 
-def test_detects_corrupt_klass_pointer(populated):
+@pytest.mark.parametrize("word, value, message", [
+    (layout.KLASS_WORD_OFFSET, 0xDEAD, "unresolvable klass pointer 0xdead"),
+    (layout.ARRAY_LENGTH_OFFSET, -1,
+     "unsizeable: negative array length -1"),
+    (layout.ARRAY_LENGTH_OFFSET, 1 << 20, "size 1048579 overruns top"),
+], ids=["unknown-klass", "negative-length", "length-past-top"])
+def test_detects_corrupt_klass_pointer(populated, word, value, message):
     heap_dir, jvm = populated
     heap = jvm.heaps.heap("h")
-    first = next(iter(heap.walk()))
-    jvm.vm.memory.write(first + layout.KLASS_WORD_OFFSET, 0xDEAD)
+    fresh = jvm.pnew_array(FieldKind.INT, 4)
+    jvm.vm.memory.write(fresh.address + word, value)
     report = fsck_heap(heap)
-    assert not report.clean
-    assert "unresolvable klass pointer" in report.errors[0]
+    assert len(report.errors) == 1, report.errors
+    assert report.errors[0].startswith(f"object @{fresh.address:#x}")
+    assert message in report.errors[0]
+    assert report.objects == 10
+
+
+def test_walk_raises_where_the_heap_stops_parsing(populated):
+    heap_dir, jvm = populated
+    heap = jvm.heaps.heap("h")
+    fresh = jvm.pnew_array(FieldKind.INT, 4)
+    jvm.vm.memory.write(fresh.address + layout.ARRAY_LENGTH_OFFSET, 1 << 20)
+    with pytest.raises(HeapCorruptionError, match=f"@{fresh.address:#x}"):
+        list(heap.walk())
 
 
 def test_detects_dangling_internal_reference(populated):

@@ -45,7 +45,8 @@ class TestKlassRegistry:
         registry.register(klass, 0x1000)
         assert registry.resolve(0x1000) is klass
         assert klass.address == 0x1000
-        assert registry.knows(0x1000)
+        assert registry.find(0x1000) is klass
+        assert registry.find(0x2000) is None
 
     def test_unknown_address(self):
         with pytest.raises(HeapCorruptionError):

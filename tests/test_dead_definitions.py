@@ -32,7 +32,6 @@ TEST_ONLY = {
     "pending_lines": "oracle: lines a PersistDomain epoch still owes",
     "current_category": "oracle: the clock scope a charge is billed to",
     "entry_index": "oracle: locates a name-table entry to corrupt",
-    "klass_pointer": "oracle: an object's durable klass word",
     "free_list_length": "oracle: the PCJ pool's durable free list",
     "members_raw": "oracle: the durable set's membership",
     "bind_class": "reopens a PCJ pool with typed wrappers",

@@ -16,7 +16,11 @@ The executable lines of a module are the line numbers of its compiled
 code objects (``compile`` + ``co_lines``), less each function's own
 ``def`` line and the line 0 of a module's prologue.  ``CENSUS.json``
 holds, per module, the executable line count, the never-run lines, and
-the definitions none of whose body lines ran.  A definition is *exempt*
+the definitions none of whose body lines ran.  Its ``detectors`` section
+lists every corruption detector in src -- each ``report.error`` /
+``report.frame_error`` call and each ``raise CorruptHeapError`` /
+``raise HeapCorruptionError`` -- with whether a gate executed it, and
+totals per kind.  A definition is *exempt*
 when it is a ``__repr__``, a hook default whose body is only a
 docstring, ``pass``, ``...`` or ``raise NotImplementedError``, or on
 :data:`EXEMPT` with a reason.  Exit status 1 when a gate fails or a
@@ -213,6 +217,31 @@ def definitions(tree: ast.AST):
     return sorted(found, key=lambda item: item[1].lineno)
 
 
+#: A detector is a ``report.<one of these>(...)`` call ...
+DETECTOR_CALLS = ("error", "frame_error")
+#: ... or a ``raise`` of one of these exception classes.
+DETECTOR_RAISES = ("CorruptHeapError", "HeapCorruptionError")
+
+
+def detector_sites(tree: ast.AST) -> List[Tuple[int, int, str]]:
+    """(first line, last line, kind) of every detector in a module."""
+    sites = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in DETECTOR_CALLS
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "report"):
+            sites.append((node.lineno, node.end_lineno,
+                          f"report.{node.func.attr}"))
+        elif isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id in DETECTOR_RAISES:
+                sites.append((node.lineno, node.end_lineno,
+                              f"raise {exc.id}"))
+    return sorted(sites)
+
+
 def _ranges(lines: List[int]) -> List[str]:
     spans: List[List[int]] = []
     for line in lines:
@@ -227,13 +256,22 @@ def census(executed: Dict[str, Set[int]]) -> dict:
     modules = {}
     totals = {"executable": 0, "never_run": 0}
     dead: List[str] = []
+    sites: Dict[str, bool] = {}
+    kinds: Dict[str, Dict[str, int]] = {}
     for path in sorted((SRC / "repro").rglob("*.py")):
         rel = path.relative_to(REPO_ROOT).as_posix()
         lines = executable_lines(path)
         ran = executed.get(str(path), set()) & lines
         never = sorted(lines - ran)
+        tree = ast.parse(path.read_text())
+        for first, last, kind in detector_sites(tree):
+            hit = any(first <= line <= last for line in ran)
+            sites[f"{rel}:{first} {kind}"] = hit
+            count = kinds.setdefault(kind, {"sites": 0, "ran": 0})
+            count["sites"] += 1
+            count["ran"] += hit
         unexecuted = {}
-        for qualname, node in definitions(ast.parse(path.read_text())):
+        for qualname, node in definitions(tree):
             body = {n for n in lines
                     if node.body[0].lineno <= n <= node.end_lineno}
             if not body or body & ran:
@@ -253,7 +291,10 @@ def census(executed: Dict[str, Set[int]]) -> dict:
         modules[rel] = {"executable": len(lines),
                         "never_run": _ranges(never),
                         "unexecuted_definitions": unexecuted}
-    return {"totals": totals, "dead": dead, "modules": modules}
+    detectors = {"sites": sites, "totals": dict(kinds, all={
+        "sites": len(sites), "ran": sum(sites.values())})}
+    return {"totals": totals, "dead": dead, "modules": modules,
+            "detectors": detectors}
 
 
 def main() -> int:
@@ -281,6 +322,8 @@ def main() -> int:
     totals = report["totals"]
     print(f"{totals['never_run']} of {totals['executable']} executable "
           f"src lines never ran; wrote {CENSUS.name}")
+    for kind, count in sorted(report["detectors"]["totals"].items()):
+        print(f"detectors {kind}: {count['ran']} of {count['sites']} ran")
     for entry in report["dead"]:
         print(f"never executed: {entry}")
     for entry in failed:
