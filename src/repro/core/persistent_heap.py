@@ -110,6 +110,11 @@ class PersistentHeap(PersistentSpaceService):
             f"pjh:{self.name}", self.base_address + self.layout.data_offset,
             self.layout.data_words)
         self.data_space.set_top(self.metadata.top)
+        # Volatile: no data-space word at or above this address has been
+        # written since the device was created, so it is durably zero
+        # already.  Only a freshly created heap lowers it to the base; a
+        # loaded image keeps it at the end, and every claim zeroes.
+        self._never_written = self.data_space.end
         # A charged device read whose value nothing uses: pinned simulated
         # time and read counts include it, as they do the same read after
         # a slow-path allocation and after a collection.
@@ -142,6 +147,7 @@ class PersistentHeap(PersistentSpaceService):
         """First-time setup of a newly created heap."""
         self.metadata.initialize(heap_layout, self.base_address)
         self._mount_components()
+        self._never_written = self.data_space.base
 
     def mount_existing(self) -> None:
         """Attach to a loaded image (validation done by the heap manager)."""
@@ -281,7 +287,8 @@ class PersistentHeap(PersistentSpaceService):
         Zero first, top second: after a compacting GC the space above the
         old top still holds stale object images, and a crash between the
         top bump and the first header flush must not let the load-time
-        tail walk resurrect them.
+        tail walk resurrect them.  Only the part below the never-written
+        frontier needs it; the rest is durably zero already.
         """
         address = self.data_space.allocate(size_words)
         if address is None:
@@ -291,9 +298,13 @@ class PersistentHeap(PersistentSpaceService):
             raise OutOfMemoryError(
                 f"PJH {self.name!r} cannot satisfy {size_words}-word "
                 f"allocation ({self.data_space.free_words} words free)")
-        offset = address - self.base_address
-        self.device.fill(offset, size_words, 0)
-        self.persist.persist(offset, size_words)
+        end = address + size_words
+        written = min(end, self._never_written) - address
+        if written > 0:
+            offset = address - self.base_address
+            self.device.fill(offset, written, 0)
+            self.persist.persist(offset, written)
+        self._never_written = max(self._never_written, end)
         self.metadata.set_top(self.data_space.top)
         self.metadata.top  # charged read, see _mount_components
         return address
@@ -375,15 +386,13 @@ class PersistentHeap(PersistentSpaceService):
 
     def _init_object(self, address: int, klass: Klass,
                      length: Optional[int]) -> None:
-        # Step 3: initialise the header (and zero the body), then persist
-        # the header.  Per the paper (§3.5), pnew only guarantees the
-        # heap-related metadata — here the header line, so the Klass
-        # pointer update is durable — while field data stays volatile
-        # until the application flushes it explicitly.
-        size = (klass.instance_words if length is None
-                else klass.array_words(length))
+        # Step 3: initialise the header, then persist it.  The body is
+        # durably zero already: every object lies in a window its claim
+        # zeroed (DESIGN.md §19).  Per the paper (§3.5), pnew only
+        # guarantees the heap-related metadata — here the header line, so
+        # the Klass pointer update is durable — while field data stays
+        # volatile until the application flushes it explicitly.
         offset = address - self.base_address
-        self.device.write_block(offset, np.zeros(size, dtype=np.int64))
         self.device.write(offset + obj_layout.MARK_WORD_OFFSET,
                           obj_layout.mark_encode())
         self.device.write(offset + obj_layout.KLASS_WORD_OFFSET, klass.address)

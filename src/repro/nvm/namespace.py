@@ -121,7 +121,13 @@ class NameManager:
     # -- image I/O ---------------------------------------------------------------
     def save_image(self, name: str, image: np.ndarray) -> None:
         self.attributes(name)  # raises if missing
-        np.save(self._image_path(name), image)
+        path = self._image_path(name)
+        # Overwrite an existing image in place: a truncating open can cost
+        # far more than the write itself on a filesystem that discards
+        # freed blocks.
+        with open(path, "r+b" if path.exists() else "wb") as fh:
+            np.save(fh, image)
+            fh.truncate()
 
     def load_image(self, name: str) -> np.ndarray:
         attrs = self.attributes(name)

@@ -46,14 +46,8 @@ class TestPjoCrashMidCommit:
 
         jvm2 = Espresso(heap_dir)
         jvm2.load_heap("jpab")
-        txn = PjhTransaction.__new__(PjhTransaction)
-        txn.jvm, txn.vm = jvm2, jvm2.vm
-        txn._entries = jvm2.get_root("txn_entries")
-        txn._meta = jvm2.get_root("txn_meta")
-        txn._heap = jvm2.vm.service_of(txn._entries.address)
-        txn.capacity = jvm2.array_length(txn._entries) // 2
-        txn._count = 0
-        txn._depth = 0
+        txn = PjhTransaction.reattach(jvm2, jvm2.get_root("txn_entries"),
+                                      jvm2.get_root("txn_meta"))
         assert txn.recover()  # rolls the torn field write back
         em2 = PjoEntityManager(jvm2)
         assert em2.find(BasicPerson, 1).phone == "+44"

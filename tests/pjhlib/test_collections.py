@@ -141,14 +141,8 @@ class TestAcidAndPersistence:
 
         jvm2 = Espresso(tmp_path / "h")
         jvm2.load_heap("lib")
-        txn2 = PjhTransaction.__new__(PjhTransaction)
-        txn2.jvm = jvm2
-        txn2.vm = jvm2.vm
-        txn2._entries = jvm2.get_root("txn_entries")
-        txn2._meta = jvm2.get_root("txn_meta")
-        txn2._heap = jvm2.vm.service_of(txn2._entries.address)
-        txn2.capacity = jvm2.array_length(txn2._entries) // 2
-        txn2._count = 0
+        txn2 = PjhTransaction.reattach(jvm2, jvm2.get_root("txn_entries"),
+                                       jvm2.get_root("txn_meta"))
         assert txn2.recover()  # rolls the torn write back
         assert jvm2.get_field(jvm2.get_root("v"), "value") == 1
 
