@@ -8,11 +8,17 @@ consistent.  A record is:
      (type_code, col_flags, name_len, name x8) x ncols]
 
 ``flags`` bit 0 marks a dropped table (records are append-only).
+``col_flags`` holds PK=1 and NOT_NULL=2 from CREATE TABLE, and INDEXED=4
+plus UNIQUE=8 from CREATE [UNIQUE] INDEX: an index definition is catalog
+state, written as that one word through the statement's WAL transaction,
+so it commits, rolls back and survives a crash with the rest of the DDL.
+The index contents are not stored; the engine rebuilds every flagged
+column's index from the rows on each mount.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -32,6 +38,13 @@ _CODE_TYPES = {i: t for t, i in _TYPE_CODES.items()}
 _FLAG_DROPPED = 1
 _COL_FLAG_PK = 1
 _COL_FLAG_NOT_NULL = 2
+_COL_FLAG_INDEXED = 4
+_COL_FLAG_UNIQUE = 8
+
+
+def _col_flags(col: ColumnDef) -> int:
+    return ((_COL_FLAG_PK if col.primary_key else 0)
+            | (_COL_FLAG_NOT_NULL if col.not_null else 0))
 
 
 @dataclass
@@ -42,6 +55,8 @@ class TableDef:
     columns: Tuple[ColumnDef, ...]
     first_page: int
     record_offset: int  # device offset of the catalog record
+    # CREATE INDEX'd columns: column index -> unique.
+    indexed: Dict[int, bool] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self._index = {c.name.lower(): i for i, c in enumerate(self.columns)}
@@ -98,8 +113,9 @@ class Catalog:
         ncols = d.read(cursor + 2 + _NAME_WORDS)
         first_page = d.read(cursor + 3 + _NAME_WORDS)
         columns: List[ColumnDef] = []
+        indexed: Dict[int, bool] = {}
         col_cursor = cursor + _TABLE_FIXED
-        for _ in range(ncols):
+        for i in range(ncols):
             type_code = d.read(col_cursor)
             col_flags = d.read(col_cursor + 1)
             col_name_len = d.read(col_cursor + 2)
@@ -109,11 +125,14 @@ class Catalog:
                 col_name, _CODE_TYPES[type_code],
                 primary_key=bool(col_flags & _COL_FLAG_PK),
                 not_null=bool(col_flags & _COL_FLAG_NOT_NULL)))
+            if col_flags & _COL_FLAG_INDEXED:
+                indexed[i] = bool(col_flags & _COL_FLAG_UNIQUE)
             col_cursor += _COL_WORDS
         size = _TABLE_FIXED + ncols * _COL_WORDS
         if flags & _FLAG_DROPPED:
             return None, size
-        return TableDef(name, tuple(columns), first_page, cursor), size
+        return TableDef(name, tuple(columns), first_page, cursor,
+                        indexed), size
 
     # -- mutation (through a TxContext) -------------------------------------------
     def append_table(self, tx, name: str, columns: Tuple[ColumnDef, ...],
@@ -136,8 +155,7 @@ class Catalog:
             base = _TABLE_FIXED + i * _COL_WORDS
             col_words, col_len = _pack_name(col.name)
             record[base] = _TYPE_CODES[col.sql_type]
-            record[base + 1] = ((_COL_FLAG_PK if col.primary_key else 0)
-                                | (_COL_FLAG_NOT_NULL if col.not_null else 0))
+            record[base + 1] = _col_flags(col)
             record[base + 2] = col_len
             record[base + 3:base + 3 + _NAME_WORDS] = col_words
         tx.write(cursor, record)
@@ -148,6 +166,16 @@ class Catalog:
         table = TableDef(name, tuple(columns), first_page, cursor)
         self.tables[name.lower()] = table
         return table
+
+    def index_column(self, tx, table: TableDef, column_index: int,
+                     unique: bool) -> None:
+        """Flag the column INDEXED (and UNIQUE): one logged word."""
+        flags = (_col_flags(table.columns[column_index]) | _COL_FLAG_INDEXED
+                 | (_COL_FLAG_UNIQUE if unique else 0))
+        offset = (table.record_offset + _TABLE_FIXED
+                  + column_index * _COL_WORDS + 1)
+        tx.write(offset, np.array([flags], dtype=np.int64))
+        table.indexed[column_index] = unique
 
     def drop_table(self, tx, name: str) -> TableDef:
         table = self.get(name)

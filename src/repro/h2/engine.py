@@ -154,6 +154,9 @@ class Database:
             indexes.add_index(pk, HashIndex(table.name,
                                             table.columns[pk].name,
                                             unique=True))
+        for column_index, unique in table.indexed.items():
+            indexes.add_index(column_index, HashIndex(
+                table.name, table.columns[column_index].name, unique))
         indexes.rebuild(storage)
         key = table.name.lower()
         self.storages[key] = storage
@@ -238,7 +241,7 @@ class Database:
         if isinstance(statement, DropTable):
             return self._drop_table(statement, tx)
         if isinstance(statement, CreateIndex):
-            return self._create_index(statement)
+            return self._create_index(statement, tx)
         if isinstance(statement, Insert):
             return self._insert(statement, params, tx)
         if isinstance(statement, Select):
@@ -274,15 +277,23 @@ class Database:
         self.indexes.pop(stmt.table.lower(), None)
         return ResultSet()
 
-    def _create_index(self, stmt: CreateIndex) -> ResultSet:
+    def _create_index(self, stmt: CreateIndex, tx: TxContext) -> ResultSet:
+        """One index per column, and uniqueness never goes down: a repeat
+        (or a plain index over a unique one) is a no-op, and UNIQUE over
+        a plain index validates the rows before it upgrades."""
         table = self.catalog.get(stmt.table)
         column_index = table.column_index(stmt.column)
         indexes = self.indexes[stmt.table.lower()]
-        index = HashIndex(table.name, stmt.column, stmt.unique)
-        indexes.add_index(column_index, index)
+        current = indexes.get(column_index)
+        if current is not None and (current.unique or not stmt.unique):
+            return ResultSet()
+        index = HashIndex(table.name, table.columns[column_index].name,
+                          stmt.unique)
         storage = self.storages[stmt.table.lower()]
         for row_id, values in storage.scan():
             index.add(values[column_index], row_id)
+        self.catalog.index_column(tx, table, column_index, stmt.unique)
+        indexes.add_index(column_index, index)
         return ResultSet()
 
     # -- expression evaluation ----------------------------------------------------
@@ -325,10 +336,13 @@ class Database:
                 if values is not None:
                     yield row_id, values
             return
+        scanned = 0
         for row_id, values in storage.scan():
+            scanned += 1
             if where is None \
                     or self._eval(where, table, values, params) is True:
                 yield row_id, values
+        self.obs.inc("h2.rows_scanned", scanned)
 
     # -- DML ---------------------------------------------------------------------------
     def _insert(self, stmt: Insert, params: Sequence[Any],

@@ -2,8 +2,13 @@
 
 The durable truth is the row store; indexes are a rebuildable cache mapping
 column values to row ids.  The engine auto-creates a unique index on each
-table's primary key (which is what the JPAB CRUD paths hit) and supports
-explicit ``CREATE [UNIQUE] INDEX`` on other columns.
+table's primary key (which is what the JPAB ``id = ?`` finds hit) and
+supports explicit ``CREATE [UNIQUE] INDEX`` on other columns (the JPA
+provider indexes every reference column and every collection table's
+``owner_id``).  An index *definition* is catalog state (the column's
+INDEXED/UNIQUE flag bits, see :mod:`repro.h2.catalog`); the contents are
+rebuilt from the rows on every mount, so a rollback, a failed autocommit
+statement or a crash brings back exactly the committed definitions.
 """
 
 from __future__ import annotations

@@ -338,14 +338,21 @@ class JpaEntityManager(AbstractEntityManager):
                     self._charge_sql(ddl)
                 with self.clock.scope("database"):
                     self.database.execute(ddl)
+                # The join table's foreign key to its owner, indexed as H2
+                # backs every foreign key, so a collection load is a probe.
+                table = meta.collection_table(field_name)
+                self._create_index(f"idx_{table}_owner", table, "owner_id")
             for field_name, _ref in meta.references:
-                index_name = f"idx_{meta.root.table}_{field_name}"
-                ddl = (f"CREATE INDEX {index_name} ON {meta.root.table} "
-                       f"({sql_mapping.ident(field_name)})")
-                with self.clock.scope("transformation"):
-                    self._charge_sql(ddl)
-                with self.clock.scope("database"):
-                    self.database.execute(ddl)
+                self._create_index(f"idx_{meta.root.table}_{field_name}",
+                                   meta.root.table,
+                                   sql_mapping.ident(field_name))
+
+    def _create_index(self, name: str, table: str, column: str) -> None:
+        ddl = f"CREATE INDEX {name} ON {table} ({column})"
+        with self.clock.scope("transformation"):
+            self._charge_sql(ddl)
+        with self.clock.scope("database"):
+            self.database.execute(ddl)
 
     def _charge_sql(self, sql: str) -> None:
         self.clock.charge(len(sql) * self._cpu_ns * NS_PER_SQL_CHAR_FACTOR)
