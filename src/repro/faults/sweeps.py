@@ -309,6 +309,11 @@ def _h2_sql() -> Sweep:
             db.execute("INSERT INTO t VALUES (?, ?)", (i, f"v{i}"))
         db.execute("UPDATE t SET v = 'updated' WHERE k = 2")
         db.execute("DELETE FROM t WHERE k = 4")
+        # Read-only work logs nothing, so it adds no crash point.
+        db.execute("SELECT v FROM t WHERE k = 2")
+        db.execute("BEGIN")
+        db.execute("SELECT COUNT(*) FROM t")
+        db.execute("COMMIT")
         db.execute("BEGIN")
         db.execute("INSERT INTO t VALUES (100, 'uncommitted')")
         db.execute("UPDATE t SET v = 'torn' WHERE k = 0")
@@ -520,8 +525,8 @@ def _mixed_domains() -> Sweep:
     """Epoch coalescing must hold when two domains interleave.
 
     Each round anchors a new PJH node (flush_reachable + setRoot, its own
-    domain epochs) and then commits an H2 insert recording the round (WAL
-    payload/counter epochs on a different device).  The flush bomb counts
+    domain epochs) and then commits an H2 insert recording the round (one
+    WAL epoch per record, on a different device).  The flush bomb counts
     clflush calls globally across both devices, so every interleaving of
     the two protocols gets crashed — a flush that leaked across an epoch
     boundary in either domain breaks a per-layer invariant, and the

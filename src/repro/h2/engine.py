@@ -195,9 +195,17 @@ class Database:
         tx = self.txman.current
         if tx is None:
             raise IllegalStateException("ROLLBACK outside a transaction")
+        self._rollback(tx)
+
+    def _rollback(self, tx: TxContext) -> None:
+        logged = tx.logged
         self.txman.rollback(tx)
-        # Volatile structures may reflect rolled-back changes: rebuild.
-        self._reload_volatile()
+        if logged:
+            # Volatile structures may reflect rolled-back changes: rebuild.
+            # A transaction that logged nothing changed nothing durable,
+            # and every statement mutates its volatile state only after
+            # its first logged write.
+            self._reload_volatile()
 
     # ------------------------------------------------------------------
     # Execution
@@ -227,8 +235,7 @@ class Database:
             result = self._dispatch(statement, params, tx)
         except BaseException:
             if autocommit:
-                self.txman.rollback(tx)
-                self._reload_volatile()
+                self._rollback(tx)
             raise
         if autocommit:
             self.txman.commit(tx)

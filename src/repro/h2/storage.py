@@ -167,7 +167,6 @@ class TableStorage:
                 raise SqlError(f"column {col.name!r} is NOT NULL")
         if row_id is None:
             row_id = self.next_row_id
-        self.next_row_id = max(self.next_row_id, row_id + 1)
         row = self._encode_row(row_id, values)
         data_capacity = self.pages.page_words - PAGE_HEADER_WORDS
         if len(row) > data_capacity:
@@ -185,15 +184,17 @@ class TableStorage:
         offset = PAGE_HEADER_WORDS + used
         tx.write(base + offset, row)
         tx.write(base + 1, np.array([used + len(row)], dtype=np.int64))
+        self.next_row_id = max(self.next_row_id, row_id + 1)
         self.locators[row_id] = (self.last_page, offset)
         return row_id
 
     def delete(self, tx, row_id: int) -> bool:
-        locator = self.locators.pop(row_id, None)
+        locator = self.locators.get(row_id)
         if locator is None:
             return False
         base = self.pages.page_offset(locator[0]) + locator[1]
         tx.write(base + _ROW_LIVE, np.array([0], dtype=np.int64))
+        del self.locators[row_id]
         return True
 
     def update(self, tx, row_id: int, values: Sequence[Any]) -> bool:

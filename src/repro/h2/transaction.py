@@ -5,6 +5,11 @@ metadata: every write logs old+new images to the WAL (flushed) before the
 in-place update, so commit durability and crash recovery come for free.
 Rollback replays the context's own writes in reverse, flushes them, and
 logs an ABORT record (recovery then ignores the transaction).
+
+The WAL sees a transaction only once it writes: the BEGIN record rides
+with the first WRITE, and a transaction that wrote nothing — a read-only
+statement or ``BEGIN … COMMIT``, a statement that failed before writing —
+ends without a COMMIT or ABORT record, at no flush or fence.
 """
 
 from __future__ import annotations
@@ -31,9 +36,15 @@ class TxContext:
         if not self.open:
             raise IllegalStateException("write on a closed transaction")
         old = self.device.read_block(offset, len(values))
-        self.wal.log_write(self.tx_id, offset, old, values)
+        self.wal.log_write(self.tx_id, offset, old, values,
+                           first=not self._writes)
         self.device.write_block(offset, values)
         self._writes.append((offset, old))
+
+    @property
+    def logged(self) -> bool:
+        """True once this transaction has put a record in the WAL."""
+        return bool(self._writes)
 
 
 class TransactionManager:
@@ -49,14 +60,16 @@ class TransactionManager:
             raise IllegalStateException("a transaction is already open")
         tx = TxContext(self.wal, self._next_tx_id)
         self._next_tx_id += 1
-        self.wal.log_begin(tx.tx_id)
         self.current = tx
         return tx
 
     def commit(self, tx: TxContext) -> None:
         if not tx.open:
             raise IllegalStateException("commit on a closed transaction")
-        self.wal.log_commit(tx.tx_id)
+        if tx.logged:
+            self.wal.log_commit(tx.tx_id)
+        else:
+            self.wal.obs.inc("wal.readonly")
         tx.open = False
         self.current = None
 
@@ -66,11 +79,15 @@ class TransactionManager:
             raise IllegalStateException("rollback on a closed transaction")
         # Undo images batch into one epoch (overlapping writes to the same
         # lines dedupe) and must be durable before the ABORT publishes —
-        # recovery skips aborted transactions entirely.
+        # recovery skips aborted transactions entirely.  With nothing
+        # logged the epoch is empty and commits for free.
         for offset, old in reversed(tx._writes):
             self.wal.device.write_block(offset, old)
             self.wal.persist.flush(offset, len(old))
         self.wal.persist.commit_epoch()
-        self.wal.log_abort(tx.tx_id)
+        if tx.logged:
+            self.wal.log_abort(tx.tx_id)
+        else:
+            self.wal.obs.inc("wal.readonly")
         tx.open = False
         self.current = None

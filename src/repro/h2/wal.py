@@ -7,34 +7,39 @@ becomes durable when its COMMIT record is flushed.  On open, recovery
 replays the log: committed transactions are redone (their page writes may
 never have been flushed), the trailing uncommitted transaction is undone.
 
-Record formats (word 0 is the type, the last word is always a CRC32 of the
-words before it):
-    BEGIN  := [1, tx_id, crc]
-    WRITE  := [2, tx_id, device_offset, count, old..., new..., crc]
-    COMMIT := [3, tx_id, crc]
-    ABORT  := [4, tx_id, crc]
+The region is one header line, then the data area.  Header word 0 is the
+durable **generation**; nothing else in the header is used.  Record formats
+(word 0 is the type, word 1 the generation it was written in, the last word
+a CRC32 of the words before it):
+    BEGIN  := [1, gen, tx_id, crc]
+    WRITE  := [2, gen, tx_id, device_offset, count, old..., new..., crc]
+    COMMIT := [3, gen, tx_id, crc]
+    ABORT  := [4, gen, tx_id, crc]
 
-The CRC makes torn-tail detection robust: replay stops at the first record
-whose checksum fails instead of trusting the ``used`` counter, and reports
-how many record-shaped things were discarded behind the tear.
+Records validate themselves; there is no durable count of them.  The
+append cursor is volatile, and a scan walks from the start of the data
+area while a record's structure, CRC and generation all hold:
 
-Flush traffic is epoch-batched through a
-:class:`~repro.nvm.persist.PersistDomain`.  BEGIN records are *appended
-but not published*: their payload lines are enqueued and the ``used``
-counter is bumped only in live memory, then the first WRITE (or the
-COMMIT/ABORT of an empty transaction) publishes both records together —
-payload epoch first, counter epoch second — so the counter can never
-claim a record whose payload is not yet durable.  BEGIN deferral is
-recovery-safe because an unpublished record is invisible: the durable
-counter still ends in front of it and the transaction appears unfinished.
-WRITE records cannot be deferred: their undo images must be durable *and
-claimed* before the in-place page write they log, or a torn dirty page
-line would have no durable undo record to repair it (``FaultMode.TORN``).
+* a torn or reverted record fails its CRC;
+* a record left by an earlier generation fails the generation check, so
+  a checkpoint retires the whole log by bumping the generation, without
+  zeroing it;
+* every record in front of a durable record is itself durable, because
+  each append is published with one ``commit_epoch()`` (flush + fence)
+  before anything that depends on it happens — a WRITE before its
+  in-place page write, a COMMIT before the statement returns.
+
+A transaction that writes nothing logs nothing: its BEGIN is appended
+together with its first WRITE, in the same epoch (the two often share a
+cache line), and a commit or rollback with no WRITE appends no COMMIT or
+ABORT.  WRITE records are never deferred: an undo image must be durable
+before the in-place page write it protects, or a torn dirty page line
+would have no durable undo record to repair it (``FaultMode.TORN``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -49,16 +54,18 @@ REC_WRITE = 2
 REC_COMMIT = 3
 REC_ABORT = 4
 
-_USED = 0  # wal-region-relative offset of the used-words counter
-_HEADER_WORDS = 8
+_GENERATION = 0  # wal-region-relative offset of the durable generation
+_HEADER_WORDS = LINE_WORDS
+_SHORT_WORDS = 4  # BEGIN / COMMIT / ABORT: type, gen, tx_id, crc
+_WRITE_FIXED = 6  # WRITE without its images: type, gen, tx_id, off, count, crc
 
 
 class WalScan(NamedTuple):
     """Result of a checksummed log scan."""
 
     records: List[Tuple]
-    discarded_records: int  # record-shaped entries behind the first bad CRC
-    torn_words: int         # words of log claimed by `used` but not replayed
+    discarded_records: int  # current-generation records behind the stop
+    torn_words: int         # words those discarded records span
 
 
 class WalRecovery(NamedTuple):
@@ -76,125 +83,123 @@ class WriteAheadLog:
     def __init__(self, device: NvmDevice, offset: int, capacity: int,
                  obs: Observatory = NULL_OBS) -> None:
         if offset % LINE_WORDS:
-            # The used counter must not share a cache line with record
-            # payload: publication order (payload epoch, then counter
-            # epoch) relies on them flushing independently.
+            # The generation must not share a cache line with record
+            # payload: a checkpoint publishes it in an epoch of its own.
             raise IllegalStateException(
                 f"WAL offset {offset} must be {LINE_WORDS}-word aligned")
         self.device = device
         self.offset = offset
         self.capacity = capacity
         self._data = offset + _HEADER_WORDS
+        self._data_words = capacity - _HEADER_WORDS
         self.persist = PersistDomain(device, name="h2-wal")
         self.obs = obs
-
-    # -- used counter ----------------------------------------------------------
-    @property
-    def used(self) -> int:
-        # The live counter: includes appended-but-unpublished records, so
-        # consecutive appends stack correctly within one transaction.
-        return self.device.read(self.offset + _USED)
-
-    def _set_used(self, value: int, flush: bool = True) -> None:
-        self.device.write(self.offset + _USED, value)
-        if flush:
-            self.persist.persist(self.offset + _USED)
+        self.generation = device.read(offset + _GENERATION)
+        #: Volatile append cursor (data-area relative).  Recovery scans the
+        #: log and then checkpoints, which puts it back to 0.
+        self.tail = 0
 
     # -- appending ---------------------------------------------------------------
-    def _append(self, words: List[int], publish: bool) -> None:
-        with self.obs.span("wal.append", rec_type=words[0],
-                           words=len(words) + 1):
-            words = words + [crc32_words(words)]
-            used = self.used
-            if _HEADER_WORDS + used + len(words) > self.capacity:
+    def _append(self, records: List[List[int]]) -> None:
+        """Append *records* (each ``[type, tx_id, ...]``) in one epoch.
+
+        The records are stamped with the generation, checksummed, written
+        behind the tail, then flushed and fenced together by one
+        ``commit_epoch()``: a scan trusts each by its own generation and
+        CRC.
+        """
+        encoded: List[int] = []
+        for words in records:
+            words = [words[0], self.generation, *words[1:]]
+            encoded += words
+            encoded.append(crc32_words(words))
+        with self.obs.span("wal.append", rec_type=records[-1][0],
+                           words=len(encoded)):
+            if self.tail + len(encoded) > self._data_words:
                 raise SqlError("WAL full — checkpoint required (log too "
                                "small for this transaction)")
-            target = self._data + used
-            self.device.write_block(target, np.array(words, dtype=np.int64))
-            # Enqueue the payload in the open epoch; bump the counter in
-            # live memory only.  Nothing becomes visible to recovery until
-            # publish().
-            self.persist.flush(target, len(words))
-            self.device.write(self.offset + _USED, used + len(words))
-            if publish:
-                self.publish()
-        self.obs.inc("wal.records")
-
-    def publish(self) -> None:
-        """Make every appended record durable and claimed by the counter.
-
-        Two epochs, never merged: payloads commit first, then the counter —
-        a reordered crash can at worst leave durable-but-unclaimed records,
-        which recovery never reads.
-        """
-        self.persist.commit_epoch()
-        self.persist.persist(self.offset + _USED)
-
-    def log_begin(self, tx_id: int) -> None:
-        # Appended but unpublished: the next record's publication claims it
-        # (its payload lines often share a cache line with that record's,
-        # deduping in the shared epoch).  If nothing ever publishes it, the
-        # durable counter ends in front of it and recovery treats the
-        # transaction as unfinished.
-        self._append([REC_BEGIN, tx_id], publish=False)
+            target = self._data + self.tail
+            self.device.write_block(target, np.array(encoded, dtype=np.int64))
+            self.persist.flush(target, len(encoded))
+            self.persist.commit_epoch()
+            self.tail += len(encoded)
+        self.obs.inc("wal.records", len(records))
 
     def log_write(self, tx_id: int, device_offset: int,
-                  old: np.ndarray, new: np.ndarray) -> None:
+                  old: np.ndarray, new: np.ndarray,
+                  first: bool = False) -> None:
+        """Log one WRITE; *first* prepends the transaction's BEGIN.
+
+        Published before returning: the caller's in-place write follows,
+        and its undo image must already be durable in case the overwritten
+        line tears at a crash.
+        """
         if len(old) != len(new):
             raise IllegalStateException("old/new images differ in length")
-        words = ([REC_WRITE, tx_id, device_offset, len(old)]
+        write = ([REC_WRITE, tx_id, device_offset, len(old)]
                  + [int(w) for w in old] + [int(w) for w in new])
-        # Published immediately: the caller's in-place write follows, and
-        # its undo image must already be durable and claimed in case the
-        # overwritten line tears at a crash.
-        self._append(words, publish=True)
+        self._append([[REC_BEGIN, tx_id], write] if first else [write])
 
     def log_commit(self, tx_id: int) -> None:
         with self.obs.span("wal.commit", tx_id=tx_id):
-            self._append([REC_COMMIT, tx_id], publish=True)
+            self._append([[REC_COMMIT, tx_id]])
         self.obs.inc("wal.commits")
 
     def log_abort(self, tx_id: int) -> None:
-        self._append([REC_ABORT, tx_id], publish=True)
+        self._append([[REC_ABORT, tx_id]])
 
     # -- checkpoint -----------------------------------------------------------------
     def checkpoint(self) -> None:
-        """Flush every dirty line, then truncate the log."""
+        """Flush every dirty line, then retire the log.
+
+        ``persist_all`` makes every logged page write durable; the
+        generation bump (one flush + fence) then invalidates every record
+        at once, and appending restarts at the front of the data area.  A
+        crash before the bump leaves the old generation valid, and
+        recovery redoes the same committed work again — idempotent.
+        """
         self.device.persist_all()
         self.persist.discard()  # persist_all covered anything still pending
-        self._set_used(0)
+        self.generation += 1
+        self.device.write(self.offset + _GENERATION, self.generation)
+        self.persist.persist(self.offset + _GENERATION)
+        self.tail = 0
 
     # -- recovery ---------------------------------------------------------------------
-    def _record_extent(self, cursor: int, used: int):
-        """Structural record size at *cursor*, or None when malformed."""
-        rec_type = self.device.read(self._data + cursor)
+    def _record_extent(self, cursor: int) -> Optional[int]:
+        """Length of the current-generation record at *cursor*, or None.
+
+        Checks structure only (type, generation, ``count``), never the
+        CRC.  A returned length is positive and ends inside the data area,
+        so a walk that steps by it always advances and always stops.
+        """
+        room = self._data_words - cursor
+        if room < _SHORT_WORDS:
+            return None
+        head = self.device.read_block(self._data + cursor, 2)
+        if int(head[1]) != self.generation:
+            return None  # never written, or retired by a checkpoint
+        rec_type = int(head[0])
         if rec_type in (REC_BEGIN, REC_COMMIT, REC_ABORT):
-            total = 3
-        elif rec_type == REC_WRITE:
-            if cursor + 4 > used:
-                return None
-            count = self.device.read(self._data + cursor + 3)
-            if count <= 0 or count > used:
-                return None
-            total = 5 + 2 * count
-        else:
+            return _SHORT_WORDS
+        if rec_type != REC_WRITE or room < _WRITE_FIXED:
             return None
-        if cursor + total > used:
+        count = self.device.read(self._data + cursor + 4)
+        if count <= 0 or 2 * count > room - _WRITE_FIXED:
             return None
-        return total
+        return _WRITE_FIXED + 2 * count
 
     def scan_with_report(self) -> WalScan:
         """Checksummed parse into (type, tx_id, offset, old, new) tuples.
 
-        Stops at the first record whose structure or CRC is bad, then keeps
-        walking structurally (checksums ignored) to count how many
-        record-shaped entries the tear discarded.
+        Stops at the first record whose structure, generation or CRC is
+        bad, then keeps walking structurally (checksums ignored) to count
+        how many current-generation records the tear discarded.
         """
         records: List[Tuple] = []
         cursor = 0
-        used = self.used
-        while cursor < used:
-            total = self._record_extent(cursor, used)
+        while True:
+            total = self._record_extent(cursor)
             if total is None:
                 break
             body = self.device.read_block(self._data + cursor, total - 1)
@@ -202,25 +207,24 @@ class WriteAheadLog:
                     crc32_words(body):
                 break  # torn or corrupt record: nothing behind it is trusted
             rec_type = int(body[0])
-            tx_id = int(body[1])
+            tx_id = int(body[2])
             if rec_type == REC_WRITE:
-                count = int(body[3])
-                records.append((REC_WRITE, tx_id, int(body[2]),
-                                body[4:4 + count].copy(),
-                                body[4 + count:4 + 2 * count].copy()))
+                count = int(body[4])
+                records.append((REC_WRITE, tx_id, int(body[3]),
+                                body[5:5 + count].copy(),
+                                body[5 + count:5 + 2 * count].copy()))
             else:
                 records.append((rec_type, tx_id, None, None, None))
             cursor += total
-        torn_words = used - cursor
         discarded = 0
         probe = cursor
-        while probe < used:
-            total = self._record_extent(probe, used)
+        while True:
+            total = self._record_extent(probe)
             if total is None:
                 break
             discarded += 1
             probe += total
-        return WalScan(records, discarded, torn_words)
+        return WalScan(records, discarded, probe - cursor)
 
     def scan(self) -> List[Tuple]:
         """Parse the log into (type, tx_id, offset, old, new) tuples."""
@@ -238,6 +242,7 @@ class WriteAheadLog:
         ``(redone_writes, undone_writes)`` pair.
         """
         with self.obs.span("wal.recover") as span:
+            generation = self.generation
             records, discarded, torn_words = self.scan_with_report()
             finished: Dict[int, int] = {}
             for rec_type, tx_id, *_ in records:
@@ -254,7 +259,8 @@ class WriteAheadLog:
                     undone += 1
             self.checkpoint()
             if span is not None:
-                span.attrs.update(redone=redone, undone=undone,
-                                  discarded=discarded, torn_words=torn_words)
+                span.attrs.update(generation=generation, redone=redone,
+                                  undone=undone, discarded=discarded,
+                                  torn_words=torn_words)
         self.obs.inc("wal.recoveries")
         return WalRecovery(redone, undone, discarded, torn_words)

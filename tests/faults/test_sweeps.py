@@ -21,12 +21,12 @@ ALL_PAIRS = [(name, mode) for name in sorted(SWEEPS)
 # A refactor of the harness or of a layer's scaffold that changes one of
 # these numbers changed what the sweep exercises.
 FAST_CRASH_POINTS = {
-    "concurrent_kv": 4, "fleet_failover": 4, "h2_sql": 4,
-    "mixed_domains": 4, "pcj_nvml": 7, "pjh_alloc_buffer": 5,
+    "concurrent_kv": 4, "fleet_failover": 4, "h2_sql": 2,
+    "mixed_domains": 3, "pcj_nvml": 7, "pjh_alloc_buffer": 5,
     "pjh_alloc_gc": 6, "pjhlib": 5, "pjo_commit": 5, "resume_task": 7}
-EXHAUSTIVE_CRASH_POINTS = {  # 824 per fault mode, 2472 in all
-    "concurrent_kv": 81, "fleet_failover": 74, "h2_sql": 62,
-    "mixed_domains": 74, "pcj_nvml": 48, "pjh_alloc_buffer": 47,
+EXHAUSTIVE_CRASH_POINTS = {  # 769 per fault mode, 2307 in all
+    "concurrent_kv": 81, "fleet_failover": 74, "h2_sql": 31,
+    "mixed_domains": 50, "pcj_nvml": 48, "pjh_alloc_buffer": 47,
     "pjh_alloc_gc": 66, "pjhlib": 134, "pjo_commit": 165,
     "resume_task": 73}
 NO_HEAP_TO_FSCK = {"h2_sql", "pcj_nvml"}  # a bare Database / MemoryPool

@@ -193,5 +193,5 @@ def test_an_index_free_database_keeps_its_durable_image():
     db = db.crash()
     db.execute("INSERT INTO u VALUES (5, 0, 'after')")
     digest = hashlib.sha256(db.device.durable_image().tobytes()).hexdigest()
-    assert digest == ("7df32ad987bb0a3070d3a0656925e2eb"
-                      "d215921fcdbc251e7bd8558883239356")
+    assert digest == ("be5bdd74291b1ae7e63c5b80756e50ce"
+                      "371aada079bedcca513b32a284158397")

@@ -2,13 +2,14 @@
 
 The first crash (ATOMIC) leaves committed rows only in the WAL.  Recovery
 then runs under REORDERED with a power cut after each of its clflushes
-in turn — its checkpoint's ``persist_all`` included — and the device
-crashes again, dropping every flushed-but-unfenced line.  A last recovery
-must still find every committed row.
+in turn — its checkpoint's ``persist_all`` and the generation publish
+that retires the log included — and the device crashes again, dropping
+every flushed-but-unfenced line.  A last recovery must still find every
+committed row.
 
 Regression: ``persist_all`` flushed every dirty line but never fenced,
 and bypassed ``clflush`` (so no cut could land inside it).  The second
-crash could then revert the redone pages behind an already truncated
+crash could then revert the redone pages behind an already retired
 WAL: on some seeds table ``t`` vanished, on others its page chain
 looped back on itself and the table walk never ended.
 """

@@ -149,9 +149,9 @@ class TestWal:
 
     def test_checkpoint_truncates(self, db):
         db.execute("CREATE TABLE t (id BIGINT PRIMARY KEY)")
-        assert db.wal.used > 0
+        assert db.wal.tail > 0
         db.checkpoint()
-        assert db.wal.used == 0
+        assert db.wal.tail == 0
         assert db.wal.scan() == []
 
     def test_recover_is_idempotent(self, db):

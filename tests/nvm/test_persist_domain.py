@@ -127,21 +127,16 @@ class TestPinnedFlushCounts:
         dev = NvmDevice(1 << 16, Clock())
         wal = WriteAheadLog(dev, 1024, 4096)
         before = dev.stats.snapshot()
-        wal.log_begin(1)
-        delta = dev.stats.delta(before)
-        # BEGIN is appended but unpublished: zero flush traffic.
-        assert (delta.flushes, delta.fences) == (0, 0)
-        before = dev.stats.snapshot()
         wal.log_write(1, 8000,
                       np.array([1, 2, 3], dtype=np.int64),
-                      np.array([4, 5, 6], dtype=np.int64))
+                      np.array([4, 5, 6], dtype=np.int64), first=True)
         delta = dev.stats.delta(before)
-        # Payload epoch (BEGIN + WRITE share a line: 2 lines, 1 dedup)
-        # then the counter epoch (1 line) — 3 flushes, 2 fences total.
-        assert delta.flushes == 3
-        assert delta.fences == 2
-        assert delta.flushes_deduped == 1
-        assert delta.epochs == 2
+        # The transaction's BEGIN rides with its first WRITE: 4 + 12
+        # words over 2 lines, published by one epoch.
+        assert delta.flushes == 2
+        assert delta.fences == 1
+        assert delta.flushes_deduped == 0
+        assert delta.epochs == 1
 
     def test_gc_region_evacuation_counts(self, tmp_path):
         from repro.api import Espresso
